@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tasm_core::{
-    prb_pruning_stats, tasm_batch_with_workspace, tasm_dynamic, tasm_naive, tasm_parallel,
-    tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery, BatchWorkspace,
+    execute, prb_pruning_stats, tasm_dynamic, tasm_naive, tasm_postorder,
+    tasm_postorder_with_workspace, threshold, BatchQuery, BatchWorkspace, Plan, Source,
     TasmOptions, TasmWorkspace,
 };
 use tasm_data::{dblp_tree, random_query, xmark_tree, DblpConfig, XMarkConfig};
@@ -147,15 +147,8 @@ fn bench_batch_widths(c: &mut Criterion) {
                     .map(|query| BatchQuery { query, k })
                     .collect();
                 let mut q = TreeQueue::new(&doc);
-                tasm_batch_with_workspace(
-                    &batch,
-                    &mut q,
-                    &UnitCost,
-                    1,
-                    TasmOptions::default(),
-                    &mut ws,
-                    None,
-                )
+                let plan = Plan::new(Source::Stream(&mut q), &batch);
+                execute(plan, &mut ws).expect("complete stream")
             });
         });
         group.bench_with_input(BenchmarkId::new("sequential", width), &width, |b, _| {
@@ -184,17 +177,28 @@ fn bench_batch_widths(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sharded parallel scans at 1/2/4 worker threads (t1 falls back to the
-/// sequential engine path).
+/// Sharded streaming scans at 1/2/4 worker threads (t1 is the shared
+/// sequential scan).
 fn bench_parallel_threads(c: &mut Criterion) {
     let mut dict = LabelDict::new();
     let doc = dblp_tree(&mut dict, &DblpConfig::new(1, 20_000));
     let (query, _) = random_query(&doc, 8, 3);
-    let k = 5;
+    let queries = [BatchQuery {
+        query: &query,
+        k: 5,
+    }];
     let mut group = c.benchmark_group("tasm/parallel_threads");
     for &threads in &[1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| tasm_parallel(&query, &doc, k, &UnitCost, 1, TasmOptions::default(), t));
+            let mut ws = BatchWorkspace::new();
+            b.iter(|| {
+                let mut q = TreeQueue::new(&doc);
+                let plan = Plan {
+                    threads: t,
+                    ..Plan::new(Source::Stream(&mut q), &queries)
+                };
+                execute(plan, &mut ws).expect("complete stream")
+            });
         });
     }
     group.finish();

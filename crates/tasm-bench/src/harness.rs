@@ -13,10 +13,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use tasm_core::{
-    prb_pruning_stats, simple_pruning, tasm_batch_parallel, tasm_batch_parallel_stream,
-    tasm_batch_with_workspace, tasm_dynamic, tasm_indexed_with_stats, tasm_parallel,
-    tasm_parallel_stream, tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery,
-    BatchWorkspace, TasmOptions, TasmWorkspace,
+    execute, prb_pruning_stats, simple_pruning, tasm_dynamic, tasm_postorder,
+    tasm_postorder_with_workspace, threshold, BatchQuery, BatchWorkspace, Output, Plan, Source,
+    TasmOptions, TasmWorkspace,
 };
 use tasm_data::{
     dblp_tree, psd_tree, random_query, xmark_tree, DblpConfig, PsdConfig, XMarkConfig,
@@ -33,6 +32,22 @@ pub const XMARK_MBS: [usize; 5] = [112, 224, 448, 896, 1792];
 pub const QUERY_SIZES: [u32; 5] = [4, 8, 16, 32, 64];
 /// Paper k sweep (Fig. 9c), log-scale.
 pub const K_SWEEP: [usize; 5] = [1, 10, 100, 1_000, 10_000];
+
+/// Runs one executor plan over the postorder stream of `doc` with
+/// default options and unit costs.
+fn run_stream(
+    doc: &Tree,
+    batch: &[BatchQuery<'_>],
+    threads: usize,
+    ws: &mut BatchWorkspace,
+) -> Output {
+    let mut queue = TreeQueue::new(doc);
+    let plan = Plan {
+        threads,
+        ..Plan::new(Source::Stream(&mut queue), batch)
+    };
+    execute(plan, ws).expect("an in-memory tree is a complete stream")
+}
 
 /// Experiment context: scaling, directories, memory budget.
 #[derive(Debug, Clone)]
@@ -679,15 +694,16 @@ pub fn bench_summary(
 }
 
 /// Scan-engine scaling snapshot: multi-query batching (one shared scan
-/// vs N independent sequential scans) and sharded parallel scans
+/// vs N independent sequential scans) and sharded streaming scans
 /// (1/2/4 worker threads), on a DBLP-shaped document.
 ///
 /// Batch records are named `batch xN …` with the matching independent
 /// baseline `seq xN …`; `candidates` counts candidate *evaluations*
 /// (scan candidates × batch width) so candidates/s is directly
-/// comparable between the two. Parallel records are `parallel tN …`
-/// (t1 = the sequential engine path). With `json_out` set, the records
-/// are appended to the [`crate::report::BENCH_JSON`] trajectory.
+/// comparable between the two. Sharded records are `stream tN …` (one
+/// query) and `batchpar-stream x4 tN …` (four query lanes); t1 is the
+/// shared sequential scan. With `json_out` set, the records are
+/// appended to the [`crate::report::BENCH_JSON`] trajectory.
 pub fn scaling_summary(
     ctx: &Ctx,
     measure: &dyn Fn(&mut dyn FnMut()) -> usize,
@@ -766,27 +782,18 @@ pub fn scaling_summary(
         let seq_peak = measure(&mut run_seq);
 
         let mut bws = BatchWorkspace::new();
+        let mut batch_scan = tasm_core::ScanStats::default();
         let mut run_batch = || {
             let batch: Vec<BatchQuery<'_>> = queries
                 .iter()
                 .map(|query| BatchQuery { query, k })
                 .collect();
-            let mut q = TreeQueue::new(&doc);
-            let r = tasm_batch_with_workspace(
-                &batch,
-                &mut q,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                &mut bws,
-                None,
-            );
-            std::hint::black_box(r.len());
+            let out = run_stream(&doc, &batch, 1, &mut bws);
+            batch_scan = out.scan;
+            std::hint::black_box(out.rankings.len());
         };
         let batch_seconds = time3(&mut run_batch);
         let batch_peak = measure(&mut run_batch);
-
-        let batch_scan = bws.last_scan_stats();
         for (name, seconds, peak, scan) in [
             (format!("seq x{width}"), seq_seconds, seq_peak, None),
             (
@@ -814,56 +821,19 @@ pub fn scaling_summary(
         }
     }
 
-    // --- Sharded parallel scans.
+    // --- Sharded streaming scans: candidate segments handed to the
+    // workers, document never materialized (flat on 1-core machines).
     let (query, _) = random_query(&doc, qsize, 0x5CA1E);
     let tau = threshold(query.len() as u64, 1, 1, k as u64);
     let mut q = TreeQueue::new(&doc);
     let candidates =
         prb_pruning_stats(&mut q, u32::try_from(tau).unwrap_or(u32::MAX), None).candidates;
+    let single = [BatchQuery { query: &query, k }];
     for &threads in &[1usize, 2, 4] {
+        let mut ws = BatchWorkspace::new();
         let mut run = || {
-            let m = tasm_parallel(
-                &query,
-                &doc,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-            );
-            std::hint::black_box(m.len());
-        };
-        let seconds = time3(&mut run);
-        let peak = measure(&mut run);
-        push(
-            &mut records,
-            BenchRecord {
-                name: format!("parallel t{threads} dblp q{qsize} k{k}"),
-                nodes: doc.len(),
-                query_size: qsize as usize,
-                k,
-                tau,
-                candidates,
-                seconds,
-                peak_heap_bytes: peak,
-                ..Default::default()
-            },
-        );
-        // Streaming shard hand-off: the same sharded scan fed from a
-        // postorder stream, document never materialized (parity with
-        // `parallel tN` expected; flat on 1-core containers).
-        let mut run = || {
-            let mut q = TreeQueue::new(&doc);
-            let m = tasm_parallel_stream(
-                &query,
-                &mut q,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-            );
-            std::hint::black_box(m.expect("complete stream").len());
+            let out = run_stream(&doc, &single, threads, &mut ws);
+            std::hint::black_box(out.rankings[0].len());
         };
         let seconds = time3(&mut run);
         let peak = measure(&mut run);
@@ -883,8 +853,8 @@ pub fn scaling_summary(
         );
     }
 
-    // --- Batch×parallel composition: 4 query lanes × T threads, both
-    // over the materialized spans and over the postorder stream.
+    // --- Batch×parallel composition: 4 query lanes × T threads over
+    // the postorder stream.
     let lane_queries: Vec<Tree> = (0..4)
         .map(|i| random_query(&doc, qsize, 0x5CA1E + i as u64).0)
         .collect();
@@ -902,46 +872,10 @@ pub fn scaling_summary(
             .iter()
             .map(|query| BatchQuery { query, k })
             .collect();
+        let mut ws = BatchWorkspace::new();
         let mut run = || {
-            let r = tasm_batch_parallel(
-                &batch,
-                &doc,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-            );
-            std::hint::black_box(r.len());
-        };
-        let seconds = time3(&mut run);
-        let peak = measure(&mut run);
-        push(
-            &mut records,
-            BenchRecord {
-                name: format!("batchpar x4 t{threads} dblp q{qsize} k{k}"),
-                nodes: doc.len(),
-                query_size: qsize as usize,
-                k,
-                tau: lane_tau,
-                candidates: lane_evaluations,
-                seconds,
-                peak_heap_bytes: peak,
-                ..Default::default()
-            },
-        );
-        let mut run = || {
-            let mut q = TreeQueue::new(&doc);
-            let r = tasm_batch_parallel_stream(
-                &batch,
-                &mut q,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-            );
-            std::hint::black_box(r.expect("complete stream").len());
+            let out = run_stream(&doc, &batch, threads, &mut ws);
+            std::hint::black_box(out.rankings.len());
         };
         let seconds = time3(&mut run);
         let peak = measure(&mut run);
@@ -1056,17 +990,13 @@ pub fn index_summary(
                 None,
             )
         };
-        let (indexed_ranking, _) = tasm_indexed_with_stats(
-            &query,
-            &dict,
-            &idx,
-            k,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-        );
+        let single = [BatchQuery { query: &query, k }];
+        let mut iws = BatchWorkspace::new();
+        let mut run_indexed = || {
+            let plan = Plan::new(Source::index(&idx, &dict), &single);
+            execute(plan, &mut iws).expect("no deadline")
+        };
+        let indexed_ranking = run_indexed().rankings.swap_remove(0);
         assert_eq!(
             scan_ranking, indexed_ranking,
             "{dataset}: indexed ranking diverged from the scan"
@@ -1096,19 +1026,9 @@ pub fn index_summary(
             &mut records,
             format!("indexed {dataset} q{} k{k}", query.len()),
             &mut || {
-                let (m, scan) = tasm_indexed_with_stats(
-                    &query,
-                    &dict,
-                    &idx,
-                    k,
-                    &UnitCost,
-                    1,
-                    TasmOptions::default(),
-                    1,
-                    None,
-                );
-                std::hint::black_box(m.len());
-                scan
+                let out = run_indexed();
+                std::hint::black_box(out.rankings.len());
+                out.scan
             },
         );
     }
@@ -1130,7 +1050,6 @@ pub fn corpus_summary(
     label: &str,
 ) -> Vec<crate::report::BenchRecord> {
     use crate::report::BenchRecord;
-    use tasm_core::tasm_corpus;
     use tasm_index::Corpus;
 
     let shards = 4usize;
@@ -1160,26 +1079,26 @@ pub fn corpus_summary(
     let (query, _) = random_query(&query_src, 11, 0xC0DE);
     let k = 10usize;
     let tau = threshold(query.len() as u64, 1, 1, k as u64);
+    let single = [BatchQuery { query: &query, k }];
+    let run_plan = |source: Source<'_>, threads: usize| {
+        let plan = Plan {
+            threads,
+            ..Plan::new(source, &single)
+        };
+        execute(plan, &mut BatchWorkspace::new()).expect("no deadline")
+    };
 
     // The reference every corpus run must reproduce exactly: per-shard
     // indexed runs merged on the corpus rank key.
     let reference = |corpus: &Corpus| {
         let mut merged = Vec::new();
         for (shard, _, doc) in corpus.healthy() {
-            let (hits, _) = tasm_indexed_with_stats(
-                &query,
-                &dict,
-                doc,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                1,
-                None,
-            );
+            let hits = run_plan(Source::index(doc, &dict), 1)
+                .rankings
+                .swap_remove(0);
             merged.extend(
                 hits.into_iter()
-                    .map(|h| (h.distance, shard, h.root.post(), h.size)),
+                    .map(|h| (h.distance, shard as u32, h.root.post(), h.size)),
             );
         }
         merged.sort();
@@ -1191,34 +1110,18 @@ pub fn corpus_summary(
     let run_one =
         |records: &mut Vec<BenchRecord>, name: String, corpus: &Corpus, threads: usize| {
             let want = reference(corpus);
-            let (matches, status) = tasm_corpus(
-                &query,
-                &dict,
-                corpus,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-            );
+            let out = run_plan(Source::corpus(corpus, &dict), threads);
+            let status = out.status.expect("corpus status");
+            let matches = &out.rankings[0];
             let got: Vec<_> = matches
                 .iter()
-                .map(|m| (m.hit.distance, m.shard, m.hit.root.post(), m.hit.size))
+                .map(|m| (m.distance, m.shard, m.root.post(), m.size))
                 .collect();
             assert_eq!(got, want, "{name}: corpus ranking diverged from the merge");
             let seconds = (0..3)
                 .map(|_| {
                     let t0 = Instant::now();
-                    std::hint::black_box(tasm_corpus(
-                        &query,
-                        &dict,
-                        corpus,
-                        k,
-                        &UnitCost,
-                        1,
-                        TasmOptions::default(),
-                        threads,
-                    ));
+                    std::hint::black_box(run_plan(Source::corpus(corpus, &dict), threads));
                     t0.elapsed().as_secs_f64()
                 })
                 .fold(f64::INFINITY, f64::min);
@@ -1489,10 +1392,9 @@ mod tests {
             None,
             "test",
         );
-        // 3 batch widths × (seq + batch) + 3 thread counts × (span-
-        // sharded + streaming) + 3 thread counts × (batch×parallel
-        // materialized + streaming).
-        assert_eq!(records.len(), 18);
+        // 3 batch widths × (seq + batch) + 3 thread counts × (one
+        // query + four query lanes) over the sharded stream.
+        assert_eq!(records.len(), 12);
         for width in [1usize, 4, 16] {
             let seq = records
                 .iter()
@@ -1506,24 +1408,24 @@ mod tests {
             assert_eq!(seq.candidates, batch.candidates);
             assert!(seq.candidates > 0);
         }
-        assert!(records.iter().any(|r| r.name.starts_with("parallel t2 ")));
-        assert!(records.iter().any(|r| r.name.starts_with("stream t2 ")));
+        let get = |prefix: String| {
+            records
+                .iter()
+                .find(|r| r.name.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("missing record {prefix}"))
+        };
         for threads in [1usize, 2, 4] {
-            // Streaming and materialized variants time the same work, so
-            // their records must be directly comparable.
-            let get = |prefix: String| {
-                records
-                    .iter()
-                    .find(|r| r.name.starts_with(&prefix))
-                    .unwrap_or_else(|| panic!("missing record {prefix}"))
-            };
-            let span = get(format!("parallel t{threads} "));
+            // Every thread count times the same work, so the records of
+            // one workload must be directly comparable.
             let stream = get(format!("stream t{threads} "));
-            assert_eq!(span.candidates, stream.candidates);
-            let bp = get(format!("batchpar x4 t{threads} "));
+            assert_eq!(stream.candidates, get("stream t1 ".into()).candidates);
+            assert!(stream.candidates > 0);
             let bps = get(format!("batchpar-stream x4 t{threads} "));
-            assert_eq!(bp.candidates, bps.candidates);
-            assert!(bp.candidates > 0);
+            assert_eq!(
+                bps.candidates,
+                get("batchpar-stream x4 t1 ".into()).candidates
+            );
+            assert!(bps.candidates > 0);
         }
         std::fs::remove_dir_all(&ctx.out_dir).ok();
     }

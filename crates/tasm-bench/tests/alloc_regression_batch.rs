@@ -1,5 +1,5 @@
-//! Allocation regression for the batch path: with a warm
-//! [`BatchWorkspace`], a `tasm_batch` scan performs O(#queries)
+//! Allocation regression for the executor's shared scan: with a warm
+//! [`BatchWorkspace`], a single-threaded stream plan performs O(#queries)
 //! allocations **independent of the document's length** — the candidate
 //! loop itself stays allocation-free across every lane.
 //!
@@ -8,8 +8,7 @@
 //! counters are diffed.
 
 use tasm_bench::alloc::{alloc_count, CountingAlloc};
-use tasm_core::{tasm_batch_with_workspace, BatchQuery, BatchWorkspace, TasmOptions};
-use tasm_ted::UnitCost;
+use tasm_core::{execute, BatchQuery, BatchWorkspace, Plan, Source};
 use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
 
 #[global_allocator]
@@ -44,7 +43,6 @@ fn batch_scan_allocations_are_document_independent() {
     .iter()
     .map(|q| bracket::parse(q, &mut dict).unwrap())
     .collect();
-    let opts = TasmOptions::default();
 
     for width in [1usize, 4] {
         let batch: Vec<BatchQuery<'_>> = queries[..width]
@@ -55,8 +53,9 @@ fn batch_scan_allocations_are_document_independent() {
         let mut run = |doc: &Tree| {
             let mut q = TreeQueue::new(doc);
             let before = alloc_count();
-            let r = tasm_batch_with_workspace(&batch, &mut q, &UnitCost, 1, opts, &mut ws, None);
-            assert_eq!(r.len(), width);
+            let plan = Plan::new(Source::Stream(&mut q), &batch);
+            let out = execute(plan, &mut ws).expect("complete stream");
+            assert_eq!(out.rankings.len(), width);
             alloc_count() - before
         };
         run(&short_doc); // warm the workspace

@@ -11,8 +11,7 @@
 //! diffed.
 
 use tasm_bench::alloc::{alloc_count, CountingAlloc};
-use tasm_core::{tasm_batch_parallel_stream, BatchQuery, TasmOptions};
-use tasm_ted::UnitCost;
+use tasm_core::{execute, BatchQuery, BatchWorkspace, Plan, Source};
 use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
 
 #[global_allocator]
@@ -46,23 +45,26 @@ fn streaming_sharded_scan_allocations_are_document_independent() {
         .iter()
         .map(|query| BatchQuery { query, k: 2 })
         .collect();
-    let opts = TasmOptions::default();
     let threads = 3;
 
-    let run = |doc: &Tree| -> usize {
+    let mut ws = BatchWorkspace::new();
+    let mut run = |doc: &Tree| -> usize {
         let mut q = TreeQueue::new(doc);
         let before = alloc_count();
-        let r = tasm_batch_parallel_stream(&batch, &mut q, &UnitCost, 1, opts, threads, None)
-            .expect("complete stream");
-        assert_eq!(r.len(), batch.len());
-        assert!(r.iter().all(|lane| lane.len() == 2));
+        let plan = Plan {
+            threads,
+            ..Plan::new(Source::Stream(&mut q), &batch)
+        };
+        let out = execute(plan, &mut ws).expect("complete stream");
+        assert_eq!(out.rankings.len(), batch.len());
+        assert!(out.rankings.iter().all(|lane| lane.len() == 2));
         alloc_count() - before
     };
 
     // Per-run setup (threads, pipe pool, lanes) allocates; the candidate
     // loop must not. Take the minimum over a few runs so an unrelated
     // allocation on another runtime thread cannot inflate a sample.
-    let min3 = |doc: &Tree| (0..3).map(|_| run(doc)).min().unwrap();
+    let mut min3 = |doc: &Tree| (0..3).map(|_| run(doc)).min().unwrap();
     let short_allocs = min3(&short_doc);
     let long_allocs = min3(&long_doc);
 

@@ -21,11 +21,11 @@ use std::time::Instant;
 
 use crate::args::Args;
 use crate::errors::{CliError, UsageExt};
-use crate::{load_xml, output, print_scan_stats};
-use tasm_core::{tasm_corpus_batch_with_stats, BatchQuery, TasmOptions};
+use crate::{load_queries, load_xml, output, print_lane_stats, print_scan_stats};
+use tasm_core::{execute, BatchQuery, BatchWorkspace, Plan, Source, TasmOptions};
 use tasm_index::Corpus;
-use tasm_ted::{TedKernel, TedStats, UnitCost};
-use tasm_tree::{LabelDict, Tree};
+use tasm_ted::{TedKernel, TedStats};
+use tasm_tree::LabelDict;
 
 pub fn cmd_corpus(args: &Args) -> Result<(), CliError> {
     match args.positional.first().map(String::as_str) {
@@ -159,23 +159,7 @@ fn cmd_fsck(args: &Args) -> Result<(), CliError> {
 fn cmd_query(args: &Args) -> Result<(), CliError> {
     let dir = args.require("dir").usage()?;
     let mut dict = LabelDict::new();
-    // Queries in command-line order, files and literals interleaved.
-    let mut queries: Vec<Tree> = Vec::new();
-    for (name, value) in &args.options {
-        match name.as_str() {
-            "query" => queries.push(load_xml(value, &mut dict)?),
-            "query-str" => queries.push(
-                tasm_xml::parse_tree_str(value, &mut dict)
-                    .map_err(|e| CliError::Runtime(format!("--query-str: {e}")))?,
-            ),
-            _ => {}
-        }
-    }
-    if queries.is_empty() {
-        return Err(CliError::Usage(
-            "missing required option --query <file> (or --query-str '<xml>')".into(),
-        ));
-    }
+    let queries = load_queries(args, &mut dict)?;
     let k: usize = args.get_num("k", 5).usage()?;
     let threads: usize = args.get_num("threads", 1).usage()?;
     let kernel: TedKernel = args
@@ -201,25 +185,24 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             r.name, r.error
         );
     }
-    let bqs: Vec<BatchQuery<'_>> = queries
-        .iter()
-        .map(|query| BatchQuery { query, k })
-        .collect();
+    let bqs = BatchQuery::all(&queries, k);
+    let plan = Plan {
+        opts,
+        threads,
+        ted_stats: sink,
+        ..Plan::new(Source::corpus(&corpus, &dict), &bqs)
+    };
     let t0 = Instant::now();
-    let result =
-        tasm_corpus_batch_with_stats(&bqs, &dict, &corpus, &UnitCost, 1, opts, threads, sink);
+    let result = execute(plan, &mut BatchWorkspace::new())
+        .map_err(|e| CliError::Runtime(format!("{dir}: {e}")))?;
     let elapsed = t0.elapsed();
-    let (rankings, status, scan, lanes, shard_stats) = (
-        result.rankings,
-        result.status,
-        result.scan,
-        result.lane_scans,
-        result.shard_stats,
-    );
+    let status = result
+        .status
+        .expect("a corpus plan reports its shard health");
 
     let batch = queries.len() > 1;
     let mut out = output::stdout();
-    for (qi, (query, matches)) in queries.iter().zip(&rankings).enumerate() {
+    for (qi, (query, matches)) in queries.iter().zip(&result.rankings).enumerate() {
         wln!(
             out,
             "# {}: {} nodes, k = {k}, corpus = {dir} ({} shard(s)){}",
@@ -250,10 +233,10 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
                 out,
                 "{:<6} {:<20} {:>10} {:>10} {:>8}",
                 rank + 1,
-                m.doc,
-                m.hit.root.post(),
-                m.hit.distance.to_string(),
-                m.hit.size
+                corpus.shard_name(m.shard as usize).unwrap_or("?"),
+                m.root.post(),
+                m.distance.to_string(),
+                m.size
             )?;
         }
     }
@@ -273,10 +256,10 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             stats.max_relevant_size(),
             stats.ted_calls,
         )?;
-        print_scan_stats(&mut out, &scan)?;
+        print_scan_stats(&mut out, &result.scan)?;
         // Where the corpus time went, shard by shard, in manifest
         // order — overlapping shards each report their own wall clock.
-        for s in &shard_stats {
+        for s in &result.shards {
             wln!(
                 out,
                 "# shard {} ({}): {:.3} ms, candidates {}, evaluated {}",
@@ -288,19 +271,7 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             )?;
         }
         if batch {
-            for (i, lane) in lanes.iter().enumerate() {
-                wln!(
-                    out,
-                    "# lane {} funnel: size-skipped {}, histogram-pruned {}, \
-                     sed-pruned {}, evaluated {} (prune rate {:.1}%)",
-                    i + 1,
-                    lane.pruned_size,
-                    lane.pruned_histogram,
-                    lane.pruned_sed,
-                    lane.evaluated,
-                    100.0 * lane.prune_rate(),
-                )?;
-            }
+            print_lane_stats(&mut out, &result.lanes)?;
         }
     }
     out.flush()?;

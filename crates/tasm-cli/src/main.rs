@@ -35,10 +35,8 @@ use std::time::Instant;
 use args::Args;
 use errors::{CliError, RuntimeExt, UsageExt};
 use tasm_core::{
-    prb_pruning_stats, simple_pruning, tasm_batch_parallel_stream_with_stats, tasm_dynamic,
-    tasm_indexed_batch_with_stats, tasm_naive, tasm_parallel_stream_with_stats,
-    tasm_postorder_with_workspace, threshold_for_query, BatchQuery, ScanStats, TasmOptions,
-    TasmWorkspace,
+    execute, prb_pruning_stats, simple_pruning, tasm_dynamic, tasm_naive, threshold_for_query,
+    BatchQuery, BatchWorkspace, Output, Plan, ScanStats, Source, TasmOptions,
 };
 use tasm_data::{
     dblp_tree, psd_tree, random_tree, xmark_tree, DblpConfig, PsdConfig, RandomTreeConfig,
@@ -345,17 +343,16 @@ fn run_over_doc_stream<T>(
     }
 }
 
-fn cmd_query(args: &Args) -> Result<(), CliError> {
-    let mut dict = LabelDict::new();
-    // Collect queries in command-line order, even when --query files and
-    // --query-str literals are interleaved: output tables are numbered by
-    // that order.
+/// Collects the `--query` files and `--query-str` literals in
+/// command-line order, even when interleaved: output tables are numbered
+/// by that order.
+pub(crate) fn load_queries(args: &Args, dict: &mut LabelDict) -> Result<Vec<Tree>, CliError> {
     let mut queries: Vec<Tree> = Vec::new();
     for (name, value) in &args.options {
         match name.as_str() {
-            "query" => queries.push(load_xml(value, &mut dict)?),
+            "query" => queries.push(load_xml(value, dict)?),
             "query-str" => queries.push(
-                tasm_xml::parse_tree_str(value, &mut dict)
+                tasm_xml::parse_tree_str(value, dict)
                     .map_err(|e| CliError::Runtime(format!("--query-str: {e}")))?,
             ),
             _ => {}
@@ -366,6 +363,12 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             "missing required option --query <file> (or --query-str '<xml>')".into(),
         ));
     }
+    Ok(queries)
+}
+
+fn cmd_query(args: &Args) -> Result<(), CliError> {
+    let mut dict = LabelDict::new();
+    let queries = load_queries(args, &mut dict)?;
     let index_path = args.get("index");
     let k: usize = args.get_num("k", 5).usage()?;
     let threads: usize = args.get_num("threads", 1).usage()?;
@@ -400,115 +403,74 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
         )));
     }
     let sink = want_stats.then_some(&mut stats);
-    // One evaluation workspace for the whole run: the candidate loop is
-    // allocation-free in steady state (PR-2 tentpole).
-    let mut ws = TasmWorkspace::new();
-    // Scan + pruning-funnel statistics of the run, when the scan-engine
-    // path produced them (postorder single/batch/parallel).
-    let mut scan_stats: Option<ScanStats> = None;
-    // Per-query-lane stats of a batch run (sequential or sharded).
-    let mut lane_stats: Option<Vec<ScanStats>> = None;
 
     let t0 = Instant::now();
-    let rankings: Vec<Vec<tasm_core::Match>> = if let Some(ipath) = index_path {
-        // Scan-free candidate generation from the prebuilt .pqi index:
-        // candidate regions come from the subtree-size column, bounded
-        // per query by the label postings, and only surviving regions
-        // are materialized and evaluated.
-        let idx =
-            IndexedDocument::open(ipath).map_err(|e| CliError::Runtime(format!("{ipath}: {e}")))?;
-        let bqs: Vec<BatchQuery<'_>> = queries
-            .iter()
-            .map(|query| BatchQuery { query, k })
-            .collect();
-        let (r, scan, lanes) =
-            tasm_indexed_batch_with_stats(&bqs, &dict, &idx, &UnitCost, 1, opts, threads, sink);
-        scan_stats = Some(scan);
-        if batch {
-            lane_stats = Some(lanes);
+    let result = if algorithm == "postorder" {
+        // One plan for every source: the .pqi index (candidate regions
+        // from the subtree-size column, bounded per query by the label
+        // postings) or the document stream — XML or .pq, never
+        // materialized, sharded across workers with --threads > 1.
+        let mut ws = BatchWorkspace::new();
+        let run = |source: Source<'_>, qs: &[Tree]| {
+            let bqs = BatchQuery::all(qs, k);
+            let plan = Plan {
+                opts,
+                threads,
+                ted_stats: sink,
+                ..Plan::new(source, &bqs)
+            };
+            execute(plan, &mut ws)
+        };
+        if let Some(ipath) = index_path {
+            let idx = IndexedDocument::open(ipath)
+                .map_err(|e| CliError::Runtime(format!("{ipath}: {e}")))?;
+            let out = run(Source::index(&idx, &dict), &queries);
+            // Matched node ids (and kept subtrees) live in the index's
+            // frequency-ordered label space.
+            dict = idx.dict().clone();
+            out.map_err(|e| format!("{ipath}: {e}"))
+        } else {
+            let doc_path = args.require("doc").usage()?;
+            run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
+                run(Source::Stream(queue), qs)
+            })?
+            .map_err(|e| format!("{doc_path}: {e}"))
         }
-        // Matched node ids (and kept subtrees) live in the index's
-        // frequency-ordered label space.
-        dict = idx.dict().clone();
-        r
-    } else if batch {
-        // All queries share ONE streaming scan; with --threads > 1 the
-        // candidate segments are sharded across workers and each worker
-        // fans them out to every query lane (batch×parallel).
-        let doc_path = args.require("doc").usage()?;
-        let (r, scan, lanes) = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
-            let bqs: Vec<BatchQuery<'_>> = qs.iter().map(|query| BatchQuery { query, k }).collect();
-            tasm_batch_parallel_stream_with_stats(&bqs, queue, &UnitCost, 1, opts, threads, sink)
-        })?
-        .map_err(|e| format!("{doc_path}: {e}"))
-        .runtime()?;
-        scan_stats = Some(scan);
-        lane_stats = Some(lanes);
-        r
+        .runtime()?
     } else {
         let doc_path = args.require("doc").usage()?;
-        let matches = match algorithm {
-            "postorder" if parallel => {
-                // Sharded streaming scan: candidate segments hand off to
-                // the workers; the document is never materialized.
-                let (m, st) = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
-                    tasm_parallel_stream_with_stats(
-                        &qs[0], queue, k, &UnitCost, 1, opts, threads, sink,
-                    )
-                })?
-                .map_err(|e| format!("{doc_path}: {e}"))
-                .runtime()?;
-                scan_stats = Some(st);
-                m
-            }
-            "postorder" => {
-                let m = run_over_doc_stream(doc_path, &mut dict, &queries, |qs, queue| {
-                    tasm_postorder_with_workspace(
-                        &qs[0], queue, k, &UnitCost, 1, opts, &mut ws, sink,
-                    )
-                })?;
-                scan_stats = Some(ws.last_scan_stats());
-                m
-            }
-            "dynamic" | "naive" => {
-                let query = &queries[0];
-                let doc = load_xml(doc_path, &mut dict)?;
-                if algorithm == "dynamic" {
-                    tasm_dynamic(query, &doc, k, &UnitCost, opts, sink)
-                } else {
-                    tasm_naive(query, &doc, k, &UnitCost, opts, sink)
-                }
-            }
+        let reproduce = match algorithm {
+            "dynamic" => tasm_dynamic,
+            "naive" => tasm_naive,
             other => return Err(CliError::Usage(format!("unknown algorithm '{other}'"))),
         };
-        vec![matches]
+        let doc = load_xml(doc_path, &mut dict)?;
+        Output {
+            rankings: vec![reproduce(&queries[0], &doc, k, &UnitCost, opts, sink)],
+            ..Output::default()
+        }
     };
     let elapsed = t0.elapsed();
 
     let mut out = output::stdout();
-    for (qi, (query, matches)) in queries.iter().zip(&rankings).enumerate() {
+    let threads_note = if parallel {
+        format!(", threads = {threads}")
+    } else {
+        String::new()
+    };
+    for (qi, (query, matches)) in queries.iter().zip(&result.rankings).enumerate() {
         if batch {
             wln!(
                 out,
-                "# query {}: {} nodes, k = {k}, algorithm = {algorithm} (batched scan{})",
+                "# query {}: {} nodes, k = {k}, algorithm = {algorithm} (batched scan{threads_note})",
                 qi + 1,
                 query.len(),
-                if parallel {
-                    format!(", threads = {threads}")
-                } else {
-                    String::new()
-                }
             )?;
         } else {
             wln!(
                 out,
-                "# query: {} nodes, k = {k}, algorithm = {algorithm}{}",
+                "# query: {} nodes, k = {k}, algorithm = {algorithm}{threads_note}",
                 query.len(),
-                if parallel {
-                    format!(", threads = {threads}")
-                } else {
-                    String::new()
-                }
             )?;
         }
         wln!(
@@ -549,26 +511,36 @@ fn cmd_query(args: &Args) -> Result<(), CliError> {
             if batch { "scan tau" } else { "tau" },
             tau,
         )?;
-        if let Some(scan) = scan_stats {
-            print_scan_stats(&mut out, &scan)?;
+        // Executor runs report the funnel; the reproductions do not.
+        if algorithm == "postorder" {
+            print_scan_stats(&mut out, &result.scan)?;
         }
-        if let Some(lanes) = lane_stats.filter(|l| l.len() > 1) {
-            for (i, lane) in lanes.iter().enumerate() {
-                wln!(
-                    out,
-                    "# lane {} funnel: size-skipped {}, histogram-pruned {}, \
-                     sed-pruned {}, evaluated {} (prune rate {:.1}%)",
-                    i + 1,
-                    lane.pruned_size,
-                    lane.pruned_histogram,
-                    lane.pruned_sed,
-                    lane.evaluated,
-                    100.0 * lane.prune_rate(),
-                )?;
-            }
+        if batch {
+            print_lane_stats(&mut out, &result.lanes)?;
         }
     }
     out.flush()
+}
+
+/// Prints each query lane's own pruning funnel (batch runs).
+pub(crate) fn print_lane_stats<W: Write>(
+    out: &mut output::Out<W>,
+    lanes: &[ScanStats],
+) -> Result<(), CliError> {
+    for (i, lane) in lanes.iter().enumerate() {
+        wln!(
+            out,
+            "# lane {} funnel: size-skipped {}, histogram-pruned {}, \
+             sed-pruned {}, evaluated {} (prune rate {:.1}%)",
+            i + 1,
+            lane.pruned_size,
+            lane.pruned_histogram,
+            lane.pruned_sed,
+            lane.evaluated,
+            100.0 * lane.prune_rate(),
+        )?;
+    }
+    Ok(())
 }
 
 /// Prints the scan-layer counters and the per-tier pruning funnel of a

@@ -1,5 +1,5 @@
 //! Multi-query batching: N TASM queries answered in **one** document
-//! scan.
+//! scan — the single-threaded stream arm of [`execute`](crate::execute).
 //!
 //! A production matcher rarely serves one query at a time. The scan
 //! layer's work — ring-buffer maintenance, candidate materialization,
@@ -22,9 +22,9 @@
 //! counting allocator in `tasm-bench`).
 
 use crate::engine::{CandidateSink, ScanEngine, ScanStats};
-use crate::lane::{build_lanes, fan_out, reserve_lanes, EvalLane};
-use crate::ranking::Match;
-use crate::server::deadline::{Deadline, DeadlineExceeded};
+use crate::exec::ExecError;
+use crate::lane::{build_lanes, fan_out, reserve_lanes, EvalLane, Ranked};
+use crate::server::deadline::Deadline;
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::scratch_fits_cap;
 use tasm_ted::{CascadeScratch, CostModel, TedStats, TedWorkspace};
@@ -39,7 +39,17 @@ pub struct BatchQuery<'a> {
     pub k: usize,
 }
 
-/// Reusable scratch state for [`tasm_batch_with_workspace`]: the shared
+impl<'a> BatchQuery<'a> {
+    /// A batch of `queries`, each ranked top-`k`.
+    pub fn all(queries: &'a [Tree], k: usize) -> Vec<Self> {
+        queries
+            .iter()
+            .map(|query| BatchQuery { query, k })
+            .collect()
+    }
+}
+
+/// Reusable scratch state for [`execute`](crate::execute): the shared
 /// scan engine plus one distance workspace per lane. All buffers grow
 /// but never shrink; reuse across streams for an allocation profile of
 /// O(#queries) per scan.
@@ -51,12 +61,6 @@ pub struct BatchWorkspace {
     lb: CascadeScratch,
     /// One distance workspace per lane; grown to the batch width.
     lanes: Vec<TedWorkspace>,
-    /// Scan + pruning-funnel statistics of the most recent run
-    /// (aggregated over all lanes).
-    last_scan: ScanStats,
-    /// Per-lane statistics of the most recent run: the shared
-    /// scan-layer counters plus each lane's own pruning funnel.
-    last_lanes: Vec<ScanStats>,
 }
 
 impl Default for BatchWorkspace {
@@ -72,23 +76,7 @@ impl BatchWorkspace {
             engine: ScanEngine::new(1),
             lb: CascadeScratch::new(),
             lanes: Vec::new(),
-            last_scan: ScanStats::default(),
-            last_lanes: Vec::new(),
         }
-    }
-
-    /// The scan and pruning-funnel statistics of the most recent
-    /// [`tasm_batch_with_workspace`] run: one shared scan, with the
-    /// funnel counters aggregated over every query lane.
-    pub fn last_scan_stats(&self) -> ScanStats {
-        self.last_scan
-    }
-
-    /// Per-lane statistics of the most recent run, in query order: each
-    /// record carries the shared scan-layer counters (every lane saw
-    /// the same candidates) and that lane's own pruning funnel.
-    pub fn last_lane_stats(&self) -> &[ScanStats] {
-        &self.last_lanes
     }
 }
 
@@ -116,89 +104,12 @@ impl CandidateSink for MultiQuerySink<'_> {
     }
 }
 
-/// Answers every query of `queries` over **one** pass of `queue`,
-/// returning one ranking per query, in input order.
-///
-/// Each ranking is exactly what the sequential
-/// [`tasm_postorder`](crate::tasm_postorder) returns for that query
-/// alone; the shared scan only amortizes the per-candidate stream work
-/// across the batch. `c_t` is the maximum document node cost under
-/// `model`, as for the sequential entry point. `stats` (if any)
-/// aggregates the evaluation work of **all** lanes.
-///
-/// # Examples
-///
-/// ```
-/// use tasm_tree::{bracket, LabelDict, TreeQueue};
-/// use tasm_ted::UnitCost;
-/// use tasm_core::{tasm_batch, BatchQuery, TasmOptions};
-///
-/// let mut dict = LabelDict::new();
-/// let q1 = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
-/// let q2 = bracket::parse("{a{b}}", &mut dict).unwrap();
-/// let doc = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
-/// let queries = [
-///     BatchQuery { query: &q1, k: 2 },
-///     BatchQuery { query: &q2, k: 1 },
-/// ];
-/// let mut queue = TreeQueue::new(&doc);
-/// let rankings =
-///     tasm_batch(&queries, &mut queue, &UnitCost, 1, TasmOptions::default(), None);
-/// assert_eq!(rankings.len(), 2);
-/// assert_eq!(rankings[0][0].root.post(), 6); // exact match for q1
-/// ```
-pub fn tasm_batch<Q: PostorderQueue + ?Sized>(
-    queries: &[BatchQuery<'_>],
-    queue: &mut Q,
-    model: &dyn CostModel,
-    c_t: u64,
-    opts: TasmOptions,
-    stats: Option<&mut TedStats>,
-) -> Vec<Vec<Match>> {
-    let mut ws = BatchWorkspace::new();
-    tasm_batch_with_workspace(queries, queue, model, c_t, opts, &mut ws, stats)
-}
-
-/// As [`tasm_batch`], but reusing the caller's [`BatchWorkspace`]: with
-/// warm buffers a whole scan costs O(#queries) heap allocations,
-/// independent of the document's length.
-pub fn tasm_batch_with_workspace<Q: PostorderQueue + ?Sized>(
-    queries: &[BatchQuery<'_>],
-    queue: &mut Q,
-    model: &dyn CostModel,
-    c_t: u64,
-    opts: TasmOptions,
-    ws: &mut BatchWorkspace,
-    stats: Option<&mut TedStats>,
-) -> Vec<Vec<Match>> {
-    match tasm_batch_deadline_with_workspace(
-        queries,
-        queue,
-        model,
-        c_t,
-        opts,
-        ws,
-        stats,
-        &Deadline::none(),
-    ) {
-        Ok(rankings) => rankings,
-        Err(DeadlineExceeded) => unreachable!("Deadline::none() never expires"),
-    }
-}
-
-/// As [`tasm_batch_with_workspace`], but cooperatively cancellable: the
-/// whole batch shares one scan, so one `deadline` bounds it (the
-/// `tasm serve` daemon passes the *earliest* member deadline and
-/// retries survivors solo when a batch is cancelled).
-///
-/// # Errors
-///
-/// [`DeadlineExceeded`] if the deadline expires before the scan
-/// completes — no partial rankings are returned (a top-k over a prefix
-/// of the candidate stream could miss better subtrees), and the
-/// workspace's last-run statistics are left untouched.
+/// Answers every query of `queries` over **one** pass of `queue`: the
+/// rankings in query order, the aggregate statistics (the shared scan
+/// plus every lane's funnel) and the per-lane statistics. Expiry of
+/// `deadline` mid-pass returns no partial ranking.
 #[allow(clippy::too_many_arguments)]
-pub fn tasm_batch_deadline_with_workspace<Q: PostorderQueue + ?Sized>(
+pub(crate) fn shared_scan<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
     model: &dyn CostModel,
@@ -207,10 +118,7 @@ pub fn tasm_batch_deadline_with_workspace<Q: PostorderQueue + ?Sized>(
     ws: &mut BatchWorkspace,
     stats: Option<&mut TedStats>,
     deadline: &Deadline,
-) -> Result<Vec<Vec<Match>>, DeadlineExceeded> {
-    if queries.is_empty() {
-        return Ok(Vec::new());
-    }
+) -> Result<Ranked, ExecError> {
     if ws.lanes.len() < queries.len() {
         ws.lanes.resize_with(queries.len(), TedWorkspace::new);
     }
@@ -240,152 +148,15 @@ pub fn tasm_batch_deadline_with_workspace<Q: PostorderQueue + ?Sized>(
     // Stats: every lane saw the one shared pass; the aggregate sums the
     // per-lane funnels on top of it.
     let mut aggregate = shared;
-    ws.last_lanes.clear();
+    let mut lane_stats = Vec::with_capacity(lanes.len());
     for lane in &mut lanes {
         lane.stats.adopt_scan_layer(&shared);
         aggregate.merge_funnel(&lane.stats);
-        ws.last_lanes.push(lane.stats);
+        lane_stats.push(lane.stats);
     }
-    ws.last_scan = aggregate;
-    Ok(lanes
+    let rankings = lanes
         .into_iter()
         .map(|lane| lane.heap.into_sorted())
-        .collect())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tasm_postorder::tasm_postorder;
-    use tasm_ted::UnitCost;
-    use tasm_tree::{bracket, LabelDict, TreeQueue};
-
-    fn example_d(dict: &mut LabelDict) -> Tree {
-        bracket::parse(
-            "{dblp{article{auth{John}}{title{X1}}}{proceedings{conf{VLDB}}\
-             {article{auth{Peter}}{title{X3}}}{article{auth{Mike}}{title{X4}}}}\
-             {book{title{X2}}}}",
-            dict,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn batch_equals_sequential_per_query() {
-        let mut dict = LabelDict::new();
-        let doc = example_d(&mut dict);
-        let q1 = bracket::parse("{article{auth{Peter}}{title{X3}}}", &mut dict).unwrap();
-        let q2 = bracket::parse("{book{title{X2}}}", &mut dict).unwrap();
-        let q3 = bracket::parse("{auth{X}}", &mut dict).unwrap();
-        let opts = TasmOptions {
-            keep_trees: true,
-            ..Default::default()
-        };
-        let queries = [
-            BatchQuery { query: &q1, k: 3 },
-            BatchQuery { query: &q2, k: 1 },
-            BatchQuery { query: &q3, k: 22 },
-        ];
-        let mut queue = TreeQueue::new(&doc);
-        let batch = tasm_batch(&queries, &mut queue, &UnitCost, 1, opts, None);
-        assert_eq!(batch.len(), 3);
-        for (bq, got) in queries.iter().zip(&batch) {
-            let mut q = TreeQueue::new(&doc);
-            let want = tasm_postorder(bq.query, &mut q, bq.k, &UnitCost, 1, opts, None);
-            assert_eq!(got, &want);
-        }
-    }
-
-    #[test]
-    fn empty_batch_returns_nothing_and_consumes_nothing() {
-        let mut dict = LabelDict::new();
-        let doc = example_d(&mut dict);
-        let mut queue = TreeQueue::new(&doc);
-        let out = tasm_batch(&[], &mut queue, &UnitCost, 1, TasmOptions::default(), None);
-        assert!(out.is_empty());
-        // The queue was not touched: a full sequential run still works.
-        let q = bracket::parse("{book{title{X2}}}", &mut dict).unwrap();
-        let top = tasm_postorder(
-            &q,
-            &mut queue,
-            1,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            None,
-        );
-        assert_eq!(top[0].root.post(), 21);
-    }
-
-    #[test]
-    fn workspace_reuse_across_batches_is_identical() {
-        let mut dict = LabelDict::new();
-        let doc = example_d(&mut dict);
-        let q1 = bracket::parse("{article{auth}{title}}", &mut dict).unwrap();
-        let q2 = bracket::parse("{title{X1}}", &mut dict).unwrap();
-        let queries = [
-            BatchQuery { query: &q1, k: 4 },
-            BatchQuery { query: &q2, k: 2 },
-        ];
-        let mut ws = BatchWorkspace::new();
-        let run = |ws: &mut BatchWorkspace| {
-            let mut queue = TreeQueue::new(&doc);
-            tasm_batch_with_workspace(
-                &queries,
-                &mut queue,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                ws,
-                None,
-            )
-        };
-        let first = run(&mut ws);
-        let second = run(&mut ws);
-        assert_eq!(first, second);
-        let mut queue = TreeQueue::new(&doc);
-        let fresh = tasm_batch(
-            &queries,
-            &mut queue,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            None,
-        );
-        assert_eq!(first, fresh);
-    }
-
-    #[test]
-    fn batch_stats_aggregate_all_lanes() {
-        let mut dict = LabelDict::new();
-        let doc = example_d(&mut dict);
-        let q1 = bracket::parse("{auth{X}}", &mut dict).unwrap();
-        let q2 = bracket::parse("{title{X}}", &mut dict).unwrap();
-        let mut solo1 = TedStats::new();
-        let mut q = TreeQueue::new(&doc);
-        tasm_postorder(
-            &q1,
-            &mut q,
-            1,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            Some(&mut solo1),
-        );
-        let mut both = TedStats::new();
-        let queries = [
-            BatchQuery { query: &q1, k: 1 },
-            BatchQuery { query: &q2, k: 1 },
-        ];
-        let mut q = TreeQueue::new(&doc);
-        tasm_batch(
-            &queries,
-            &mut q,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            Some(&mut both),
-        );
-        assert!(both.ted_calls >= solo1.ted_calls);
-    }
+        .collect();
+    Ok((rankings, aggregate, lane_stats))
 }

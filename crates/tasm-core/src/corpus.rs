@@ -1,7 +1,8 @@
-//! Cross-document top-k over a [`Corpus`]: every healthy shard answers
-//! through the index-backed path
-//! ([`tasm_indexed_batch`](crate::tasm_indexed_batch)), and the
-//! per-shard rankings merge into one corpus-wide top-k per query.
+//! Cross-document top-k over a [`Corpus`] — the
+//! [`Source::Corpus`](crate::Source::Corpus) arm of
+//! [`execute`](crate::execute): every healthy shard answers through the
+//! index driver, and the per-shard rankings merge into one corpus-wide
+//! top-k per query.
 //!
 //! # The corpus is the parallel unit
 //!
@@ -13,8 +14,7 @@
 //! falls back *inside* the shards — each worker passes
 //! `threads / workers` lanes down to the per-shard indexed pass — so a
 //! two-shard corpus on eight threads still uses all eight. With one
-//! thread (or one shard) the loop runs inline on the caller's thread,
-//! which is exactly the old sequential path.
+//! thread (or one shard) the loop runs inline on the caller's thread.
 //!
 //! # Degraded mode is explicit, never silent
 //!
@@ -27,46 +27,30 @@
 //!
 //! # Determinism
 //!
-//! Within a shard the rank key `(distance, postorder, size)` is a total
-//! order; across shards postorder numbers collide, so the corpus rank
-//! key inserts the manifest shard index: `(distance, shard, postorder,
-//! size)`. Every per-shard ranking is thread-count-invariant, the
-//! corpus key is a **total** order over all corpus matches (shard +
-//! postorder is unique), and each lane keeps exactly the `k` smallest
-//! keys of the union — so the merged ranking is independent of shard
-//! evaluation order, worker count and inner lane count, and
-//! byte-identical to concatenating per-document
-//! [`tasm_indexed`](crate::tasm_indexed) runs and sorting (pinned by
-//! `tests/corpus_differential.rs`).
-//!
-//! Merging is **bounded**: each worker folds every shard run into its
-//! per-lane accumulator with a sorted two-way merge truncated to `k`,
-//! so memory per lane is O(k), not O(shards · k).
+//! Every match carries its manifest shard index in [`Match::shard`],
+//! and the rank key `(distance, shard, postorder, size)` is a **total**
+//! order over all corpus matches (shard + postorder is unique). Every
+//! per-shard ranking is thread-count-invariant and each lane keeps
+//! exactly the `k` smallest keys of the union in a [`TopKHeap`] — so
+//! the merged ranking is independent of shard evaluation order, worker
+//! count and inner lane count, and identical to concatenating
+//! per-document index runs and sorting (pinned by
+//! `tests/corpus_differential.rs`). Memory per lane is O(k), not
+//! O(shards · k).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::batch::BatchQuery;
 use crate::engine::ScanStats;
-use crate::indexed::tasm_indexed_batch_deadline_with_stats;
-use crate::parallel::resolve_threads;
-use crate::ranking::Match;
+use crate::exec::{ExecError, Output};
+use crate::indexed::indexed_batch;
+use crate::ranking::{Match, TopKHeap};
 use crate::server::deadline::{Deadline, DeadlineExceeded};
 use crate::tasm_dynamic::TasmOptions;
 use tasm_index::{Corpus, IndexedDocument};
-use tasm_ted::{Cost, CostModel, TedStats};
-use tasm_tree::{LabelDict, Tree};
-
-/// One corpus-level match: a [`Match`] plus which document it came from.
-#[derive(Debug, Clone)]
-pub struct CorpusMatch {
-    /// Document (shard) name the subtree was found in.
-    pub doc: String,
-    /// Shard index in manifest order (the rank-key tiebreaker).
-    pub shard: usize,
-    /// The match inside that document (root postorder, size, distance).
-    pub hit: Match,
-}
+use tasm_ted::{CostModel, TedStats};
+use tasm_tree::LabelDict;
 
 /// How much of the corpus answered: `healthy` of `total` shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,67 +97,10 @@ impl CorpusShardStats {
     }
 }
 
-/// Full result of a stats-carrying corpus batch: per-query rankings,
-/// corpus health, the merged [`ScanStats`] funnel, the per-query
-/// funnels in query order, and the per-shard timing breakdown.
-#[derive(Debug, Clone)]
-pub struct CorpusBatchOutput {
-    /// One ranking per query, in query order, each at most `k` long.
-    pub rankings: Vec<Vec<CorpusMatch>>,
-    /// How many shards answered.
-    pub status: CorpusStatus,
-    /// The merged scan funnel, summed over shards.
-    pub scan: ScanStats,
-    /// Per-query funnels in query order, summed over shards.
-    pub lane_scans: Vec<ScanStats>,
-    /// Per-shard wall clock + funnel, in manifest shard order.
-    pub shard_stats: Vec<CorpusShardStats>,
-}
-
-/// The corpus rank key: a **total** order over all corpus matches
-/// (shard index + postorder is unique), so any k-smallest-of-union
-/// merge yields the same ranking regardless of merge order.
-fn rank_key(m: &CorpusMatch) -> (Cost, usize, u32, u32) {
-    (m.hit.distance, m.shard, m.hit.root.post(), m.hit.size)
-}
-
-/// Folds `incoming` into `lane`, both sorted on [`rank_key`], keeping
-/// only the `k` smallest keys of the union. This is the bounded merge:
-/// a lane never grows past `k`, so accumulating S shard runs costs
-/// O(k) memory per lane instead of O(S · k).
-fn merge_ranked(lane: &mut Vec<CorpusMatch>, incoming: Vec<CorpusMatch>, k: usize) {
-    if incoming.is_empty() {
-        lane.truncate(k);
-        return;
-    }
-    if lane.is_empty() {
-        *lane = incoming;
-        lane.truncate(k);
-        return;
-    }
-    let mut a = std::mem::take(lane).into_iter().peekable();
-    let mut b = incoming.into_iter().peekable();
-    while lane.len() < k {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                let next = if rank_key(x) <= rank_key(y) {
-                    a.next()
-                } else {
-                    b.next()
-                };
-                lane.push(next.expect("peeked"));
-            }
-            (Some(_), None) => lane.push(a.next().expect("peeked")),
-            (None, Some(_)) => lane.push(b.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-}
-
 /// Everything one worker accumulated over the shards it pulled.
 struct CorpusWorkerOutput {
-    /// Per-query rankings, each bounded to `k` and sorted on the key.
-    lanes: Vec<Vec<CorpusMatch>>,
+    /// Per-query top-k heaps over this worker's shards.
+    lanes: Vec<TopKHeap>,
     /// Per-query funnels, summed over this worker's shards.
     lane_scans: Vec<ScanStats>,
     /// Merged funnel over this worker's shards.
@@ -182,6 +109,14 @@ struct CorpusWorkerOutput {
     shard_stats: Vec<CorpusShardStats>,
     /// TED counters, collected only when the caller asked for them.
     ted: Option<TedStats>,
+}
+
+/// One top-k heap per query, sized by its `k` (clamped to `>= 1`).
+fn lane_heaps(queries: &[BatchQuery<'_>]) -> Vec<TopKHeap> {
+    queries
+        .iter()
+        .map(|bq| TopKHeap::new(bq.k.max(1)))
+        .collect()
 }
 
 /// One scheduler worker: pulls shard indices from the shared counter
@@ -201,7 +136,7 @@ fn run_worker(
     inner: usize,
     want_ted: bool,
     expiry: Option<Instant>,
-) -> Result<CorpusWorkerOutput, DeadlineExceeded> {
+) -> Result<CorpusWorkerOutput, ExecError> {
     // `Deadline` is deliberately not `Sync`, so each worker mints its
     // own token from the shared expiry instant.
     let deadline = match expiry {
@@ -209,7 +144,7 @@ fn run_worker(
         None => Deadline::none(),
     };
     let mut out = CorpusWorkerOutput {
-        lanes: (0..queries.len()).map(|_| Vec::new()).collect(),
+        lanes: lane_heaps(queries),
         lane_scans: vec![ScanStats::default(); queries.len()],
         scan: ScanStats::default(),
         shard_stats: Vec::new(),
@@ -221,11 +156,11 @@ fn run_worker(
             return Ok(out);
         }
         if cancelled.load(Ordering::Relaxed) {
-            return Err(DeadlineExceeded);
+            return Err(DeadlineExceeded.into());
         }
         let (shard, name, doc) = shards[idx];
         let started = Instant::now();
-        let run = tasm_indexed_batch_deadline_with_stats(
+        let run = indexed_batch(
             queries,
             src_dict,
             doc,
@@ -253,100 +188,24 @@ fn run_worker(
             nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             scan: shard_scan,
         });
-        for ((lane, ranking), bq) in out.lanes.iter_mut().zip(rankings).zip(queries) {
-            let incoming: Vec<CorpusMatch> = ranking
-                .into_iter()
-                .map(|hit| CorpusMatch {
-                    doc: name.to_string(),
-                    shard,
-                    hit,
-                })
-                .collect();
-            merge_ranked(lane, incoming, bq.k);
+        let shard = u32::try_from(shard).expect("manifest shard index fits u32");
+        for (heap, ranking) in out.lanes.iter_mut().zip(rankings) {
+            for m in ranking {
+                heap.offer(Match { shard, ..m });
+            }
         }
     }
 }
 
-/// Corpus-wide top-`k` for one query: every healthy shard of `corpus`
-/// answers via the `.pqi` index, merged on the deterministic corpus
-/// rank key. See the module docs for the degraded-mode contract.
-///
-/// `src_dict` is the dictionary `query` was parsed with (any dictionary
-/// works — each shard re-encodes the query into its own label space).
+/// Answers every query of `queries` over every healthy shard of
+/// `corpus` with `threads >= 1` threads, under a cooperative
+/// `deadline`: the deadline is polled *inside* each shard at
+/// candidate-region granularity, so even a single large shard cannot
+/// overrun the budget by its whole evaluation time. Once any worker
+/// trips it, the batch is cancelled: the remaining workers stop at
+/// their next shard pull and no partial ranking is returned.
 #[allow(clippy::too_many_arguments)]
-pub fn tasm_corpus(
-    query: &Tree,
-    src_dict: &LabelDict,
-    corpus: &Corpus,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-) -> (Vec<CorpusMatch>, CorpusStatus) {
-    let queries = [BatchQuery { query, k }];
-    let out =
-        tasm_corpus_batch_with_stats(&queries, src_dict, corpus, model, c_t, opts, threads, None);
-    let mut rankings = out.rankings;
-    (rankings.pop().expect("one lane"), out.status)
-}
-
-/// Batch composition of [`tasm_corpus`]: every query of `queries` is
-/// answered over every healthy shard, sharing each shard's candidate
-/// pass across the whole batch.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_corpus_batch(
-    queries: &[BatchQuery<'_>],
-    src_dict: &LabelDict,
-    corpus: &Corpus,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-) -> (Vec<Vec<CorpusMatch>>, CorpusStatus) {
-    let out =
-        tasm_corpus_batch_with_stats(queries, src_dict, corpus, model, c_t, opts, threads, None);
-    (out.rankings, out.status)
-}
-
-/// As [`tasm_corpus_batch`], but also returning the merged [`ScanStats`]
-/// funnel (summed over shards) and the per-query funnels in query order.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_corpus_batch_with_stats(
-    queries: &[BatchQuery<'_>],
-    src_dict: &LabelDict,
-    corpus: &Corpus,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> CorpusBatchOutput {
-    tasm_corpus_batch_deadline_with_stats(
-        queries,
-        src_dict,
-        corpus,
-        model,
-        c_t,
-        opts,
-        threads,
-        stats,
-        &Deadline::none(),
-    )
-    .expect("no deadline to exceed")
-}
-
-/// As [`tasm_corpus_batch_with_stats`], under a cooperative `deadline`:
-/// a corpus query that cannot finish in time fails with
-/// [`DeadlineExceeded`] instead of stalling the caller. The deadline is
-/// polled *inside* each shard at candidate-region granularity (see
-/// [`tasm_indexed_batch_deadline_with_stats`]), so even a single large
-/// shard cannot overrun the budget by its whole evaluation time. Once
-/// any worker trips the deadline, the batch is cancelled: the remaining
-/// workers stop at their next shard pull and no partial ranking is
-/// returned.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_corpus_batch_deadline_with_stats(
+pub(crate) fn corpus_batch(
     queries: &[BatchQuery<'_>],
     src_dict: &LabelDict,
     corpus: &Corpus,
@@ -356,109 +215,91 @@ pub fn tasm_corpus_batch_deadline_with_stats(
     threads: usize,
     mut stats: Option<&mut TedStats>,
     deadline: &Deadline,
-) -> Result<CorpusBatchOutput, DeadlineExceeded> {
-    let status = CorpusStatus {
+) -> Result<Output, ExecError> {
+    let status = Some(CorpusStatus {
         healthy: corpus.healthy_count(),
         total: corpus.total_shards(),
-    };
-    if queries.is_empty() {
-        return Ok(CorpusBatchOutput {
-            rankings: Vec::new(),
-            status,
-            scan: ScanStats::default(),
-            lane_scans: Vec::new(),
-            shard_stats: Vec::new(),
-        });
-    }
+    });
     let shards: Vec<(usize, &str, &IndexedDocument)> = corpus.healthy().collect();
-    if shards.is_empty() {
-        return Ok(CorpusBatchOutput {
-            rankings: (0..queries.len()).map(|_| Vec::new()).collect(),
+    if queries.is_empty() || shards.is_empty() {
+        return Ok(Output {
+            rankings: vec![Vec::new(); queries.len()],
+            lanes: vec![ScanStats::default(); queries.len()],
             status,
-            scan: ScanStats::default(),
-            lane_scans: vec![ScanStats::default(); queries.len()],
-            shard_stats: Vec::new(),
+            ..Output::default()
         });
     }
     if deadline.expired_now() {
-        return Err(DeadlineExceeded);
+        return Err(DeadlineExceeded.into());
     }
 
-    let threads = resolve_threads(threads).max(1);
     // Split the budget across shards first; leftover threads become
     // intra-shard lanes inside each worker's indexed pass.
+    let threads = threads.max(1);
     let workers = threads.min(shards.len());
     let inner = (threads / workers).max(1);
     let want_ted = stats.is_some();
     let expiry = deadline.instant();
     let next = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
-
-    let outputs: Vec<CorpusWorkerOutput> = if workers <= 1 {
-        // One worker runs inline on the caller's thread — exactly the
-        // old sequential shard loop, no thread machinery.
-        vec![run_worker(
+    let run = || {
+        run_worker(
             &shards, &next, &cancelled, queries, src_dict, model, c_t, opts, inner, want_ted,
             expiry,
-        )?]
+        )
+    };
+
+    let outputs: Vec<CorpusWorkerOutput> = if workers <= 1 {
+        // One worker runs inline on the caller's thread — no thread
+        // machinery.
+        vec![run()?]
     } else {
-        let joined: Result<Vec<CorpusWorkerOutput>, DeadlineExceeded> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            run_worker(
-                                &shards, &next, &cancelled, queries, src_dict, model, c_t, opts,
-                                inner, want_ted, expiry,
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("corpus worker panicked"))
-                    .collect()
-            });
+        let joined: Result<Vec<CorpusWorkerOutput>, ExecError> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("corpus worker panicked"))
+                .collect()
+        });
         joined?
     };
 
-    // Cross-worker merge. Each worker's lanes are sorted on the total
-    // corpus rank key and bounded to k, so folding them in any order
-    // yields the same k-smallest-of-union ranking.
-    let mut rankings: Vec<Vec<CorpusMatch>> = (0..queries.len()).map(|_| Vec::new()).collect();
+    // Cross-worker merge: the rank key is a total order, so folding the
+    // per-worker heaps in any order yields the same k-smallest-of-union.
+    let mut heaps = lane_heaps(queries);
     let mut scan = ScanStats::default();
-    let mut lane_scans = vec![ScanStats::default(); queries.len()];
+    let mut lanes = vec![ScanStats::default(); queries.len()];
     let mut shard_stats: Vec<CorpusShardStats> = Vec::with_capacity(shards.len());
     for out in outputs {
         scan.merge(&out.scan);
-        for (lane, w) in lane_scans.iter_mut().zip(&out.lane_scans) {
+        for (lane, w) in lanes.iter_mut().zip(&out.lane_scans) {
             lane.merge(w);
         }
         shard_stats.extend(out.shard_stats);
         if let (Some(dst), Some(src)) = (stats.as_deref_mut(), out.ted.as_ref()) {
             dst.merge(src);
         }
-        for ((lane, wlane), bq) in rankings.iter_mut().zip(out.lanes).zip(queries) {
-            merge_ranked(lane, wlane, bq.k);
+        for (heap, wheap) in heaps.iter_mut().zip(out.lanes) {
+            heap.merge(wheap);
         }
     }
     shard_stats.sort_by_key(|s| s.shard);
-    Ok(CorpusBatchOutput {
-        rankings,
-        status,
+    Ok(Output {
+        rankings: heaps.into_iter().map(TopKHeap::into_sorted).collect(),
         scan,
-        lane_scans,
-        shard_stats,
+        lanes,
+        shards: shard_stats,
+        status,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::indexed::tasm_indexed;
+    use crate::exec::{execute, Plan, Source};
+    use crate::BatchWorkspace;
     use std::fs;
     use std::path::PathBuf;
-    use tasm_ted::UnitCost;
     use tasm_tree::bracket;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -468,192 +309,28 @@ mod tests {
         dir
     }
 
-    fn build_corpus(dir: &PathBuf) -> Corpus {
-        let mut corpus = Corpus::create(dir).unwrap();
-        let docs = [
-            (
-                "a",
-                "{dblp{article{auth{John}}{title{X1}}}{book{title{X2}}}}",
-            ),
-            ("b", "{dblp{article{auth{Mike}}{title{X3}}{year}}}"),
-            (
-                "c",
-                "{lib{proceedings{conf{VLDB}}}{article{auth{John}}{title{X9}}}}",
-            ),
-        ];
-        for (name, src) in docs {
-            let mut dict = LabelDict::new();
-            let tree = bracket::parse(src, &mut dict).unwrap();
-            corpus.add(name, &tree, &dict, None).unwrap();
-        }
-        corpus
-    }
-
-    fn key(ms: &[CorpusMatch]) -> Vec<(String, u32, u64, u32)> {
-        ms.iter()
-            .map(|m| {
-                (
-                    m.doc.clone(),
-                    m.hit.root.post(),
-                    m.hit.distance.halves(),
-                    m.hit.size,
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn corpus_ranking_merges_per_document_runs() {
-        let dir = tmp_dir("merge");
-        let corpus = build_corpus(&dir);
-        let mut qdict = LabelDict::new();
-        let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut qdict).unwrap();
-        let k = 4;
-        let (got, status) = tasm_corpus(
-            &q,
-            &qdict,
-            &corpus,
-            k,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-        );
-        assert!(!status.is_degraded());
-        assert_eq!(status.marker(), "3/3");
-        assert_eq!(got.len(), k);
-
-        // Reference: per-document tasm_indexed runs, concatenated and
-        // sorted on the corpus rank key.
-        let mut want: Vec<CorpusMatch> = Vec::new();
-        for (shard, name, doc) in corpus.healthy() {
-            let hits = tasm_indexed(&q, &qdict, doc, k, &UnitCost, 1, TasmOptions::default(), 1);
-            want.extend(hits.into_iter().map(|hit| CorpusMatch {
-                doc: name.to_string(),
-                shard,
-                hit,
-            }));
-        }
-        want.sort_by_key(|m| (m.hit.distance, m.shard, m.hit.root.post(), m.hit.size));
-        want.truncate(k);
-        assert_eq!(key(&got), key(&want));
-        // The best hit is the exact match in document "a".
-        assert_eq!(got[0].doc, "a");
-        assert_eq!(got[0].hit.distance.halves(), 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn quarantined_shards_degrade_but_keep_healthy_rankings() {
-        let dir = tmp_dir("degraded");
-        drop(build_corpus(&dir));
-        let mut qdict = LabelDict::new();
-        let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut qdict).unwrap();
-        // Corrupt shard b; the other shards' results must be identical
-        // to merged per-document runs over just the healthy shards.
-        let shard = dir.join("b.pqi");
-        let mut bytes = fs::read(&shard).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        fs::write(&shard, &bytes).unwrap();
-        let corpus = Corpus::open(&dir).unwrap();
-        let (got, status) = tasm_corpus(
-            &q,
-            &qdict,
-            &corpus,
-            6,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-        );
-        assert!(status.is_degraded());
-        assert_eq!(status.marker(), "2/3");
-        let mut want: Vec<CorpusMatch> = Vec::new();
-        for (shard, name, doc) in corpus.healthy() {
-            let hits = tasm_indexed(&q, &qdict, doc, 6, &UnitCost, 1, TasmOptions::default(), 1);
-            want.extend(hits.into_iter().map(|hit| CorpusMatch {
-                doc: name.to_string(),
-                shard,
-                hit,
-            }));
-        }
-        want.sort_by_key(|m| (m.hit.distance, m.shard, m.hit.root.post(), m.hit.size));
-        want.truncate(6);
-        let got_key = key(&got);
-        assert_eq!(got_key, key(&want));
-        assert!(got_key.iter().all(|(doc, ..)| doc != "b"));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn empty_corpus_answers_empty() {
         let dir = tmp_dir("empty");
         let corpus = Corpus::create(&dir).unwrap();
         let mut qdict = LabelDict::new();
         let q = bracket::parse("{a{b}}", &mut qdict).unwrap();
-        let (got, status) = tasm_corpus(
-            &q,
-            &qdict,
-            &corpus,
-            3,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-        );
-        assert!(got.is_empty());
+        let queries = [BatchQuery { query: &q, k: 3 }];
+        let plan = Plan::new(Source::corpus(&corpus, &qdict), &queries);
+        let out = execute(plan, &mut BatchWorkspace::new()).unwrap();
+        assert!(out.rankings[0].is_empty());
+        let status = out.status.unwrap();
         assert_eq!(status.marker(), "0/0");
         assert!(!status.is_degraded());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn bounded_merge_never_grows_past_k() {
-        use crate::ranking::Match;
-        use tasm_tree::NodeId;
-        // 40 shards × 8 hits each, merged into one lane with k = 5: the
-        // lane must stay at 5 after every fold (the unbounded version
-        // would peak at 320) and equal the sort-everything reference.
-        let k = 5;
-        let mk = |shard: usize, post: u32, dist: u64| CorpusMatch {
-            doc: format!("d{shard}"),
-            shard,
-            hit: Match {
-                root: NodeId::new(post),
-                size: 3,
-                distance: Cost::from_natural(dist),
-                tree: None,
-            },
-        };
-        let mut lane: Vec<CorpusMatch> = Vec::new();
-        let mut all: Vec<CorpusMatch> = Vec::new();
-        for shard in 0..40 {
-            // Per-shard runs arrive sorted on the rank key, like real
-            // `tasm_indexed_batch` output.
-            let incoming: Vec<CorpusMatch> = (0..8)
-                .map(|i| mk(shard, 10 + i, ((shard * 7 + i as usize * 3) % 11) as u64))
-                .collect();
-            let mut sorted = incoming.clone();
-            sorted.sort_by_key(|m| (m.hit.distance, m.hit.root.post(), m.hit.size));
-            all.extend(sorted.clone());
-            merge_ranked(&mut lane, sorted, k);
-            assert!(lane.len() <= k, "lane grew to {} entries", lane.len());
-        }
-        assert_eq!(lane.len(), k);
-        all.sort_by_key(rank_key);
-        all.truncate(k);
-        assert_eq!(key(&lane), key(&all));
-        // And the lane itself is sorted, ready for the next fold.
-        assert!(lane.windows(2).all(|w| rank_key(&w[0]) <= rank_key(&w[1])));
-    }
-
-    #[test]
     fn deadline_interrupts_mid_shard() {
-        // One large shard: the old corpus loop only polled *between*
-        // shards, so a deadline expiring mid-shard was ignored and the
-        // whole shard evaluated anyway. The region-granular poll must
-        // fail the request instead.
+        // One large shard: a loop that only polled *between* shards
+        // would ignore a deadline expiring mid-shard and evaluate the
+        // whole shard anyway. The region-granular poll must fail the
+        // request instead.
         let dir = tmp_dir("midshard");
         let mut corpus = Corpus::create(&dir).unwrap();
         let mut src = String::from("{r");
@@ -668,119 +345,20 @@ mod tests {
         let mut qdict = LabelDict::new();
         let q = bracket::parse("{a{b}{c}}", &mut qdict).unwrap();
         let queries = [BatchQuery { query: &q, k: 5 }];
+        let mut ws = BatchWorkspace::new();
 
         // Sanity: without a deadline the single-shard corpus answers.
-        let ok = tasm_corpus_batch_deadline_with_stats(
-            &queries,
-            &qdict,
-            &corpus,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-            &Deadline::none(),
-        );
-        assert!(ok.is_ok());
+        let plan = Plan::new(Source::corpus(&corpus, &qdict), &queries);
+        assert!(execute(plan, &mut ws).is_ok());
 
         // A deadline far shorter than the shard's evaluation time must
         // abort mid-shard — there is no between-shards poll to save it.
-        let deadline = Deadline::after(std::time::Duration::from_micros(100));
-        let got = tasm_corpus_batch_deadline_with_stats(
-            &queries,
-            &qdict,
-            &corpus,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-            &deadline,
-        );
-        assert_eq!(got.unwrap_err(), DeadlineExceeded);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn scheduler_reports_per_shard_stats_and_matches_sequential() {
-        let dir = tmp_dir("shardstats");
-        let corpus = build_corpus(&dir);
-        let mut qdict = LabelDict::new();
-        let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut qdict).unwrap();
-        let queries = [BatchQuery { query: &q, k: 4 }];
-        let sequential = tasm_corpus_batch_with_stats(
-            &queries,
-            &qdict,
-            &corpus,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-        );
-        for threads in [2, 4, 7] {
-            let scheduled = tasm_corpus_batch_with_stats(
-                &queries,
-                &qdict,
-                &corpus,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-            );
-            assert_eq!(key(&scheduled.rankings[0]), key(&sequential.rankings[0]));
-            // With inner == 1 lane (threads ≤ shards) each shard is
-            // evaluated exactly as in the sequential run, so the whole
-            // funnel is identical. Intra-shard lanes (threads = 7 over
-            // 3 shards) may prune differently; the candidate count is
-            // scan-determined and stays invariant.
-            if threads <= 4 {
-                assert_eq!(scheduled.scan, sequential.scan);
-                assert_eq!(scheduled.lane_scans, sequential.lane_scans);
-            }
-            assert_eq!(scheduled.scan.candidates, sequential.scan.candidates);
-            // Per-shard stats cover every healthy shard, in manifest
-            // order, regardless of which worker ran which shard.
-            let shards: Vec<usize> = scheduled.shard_stats.iter().map(|s| s.shard).collect();
-            assert_eq!(shards, vec![0, 1, 2]);
-            let names: Vec<&str> = scheduled
-                .shard_stats
-                .iter()
-                .map(|s| s.name.as_str())
-                .collect();
-            assert_eq!(names, vec!["a", "b", "c"]);
-            // The per-shard funnels sum to the merged funnel.
-            let mut summed = ScanStats::default();
-            for s in &scheduled.shard_stats {
-                summed.merge(&s.scan);
-            }
-            assert_eq!(summed, scheduled.scan);
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn expired_deadline_fails_between_shards() {
-        let dir = tmp_dir("deadline");
-        let corpus = build_corpus(&dir);
-        let mut qdict = LabelDict::new();
-        let q = bracket::parse("{a{b}}", &mut qdict).unwrap();
-        let queries = [BatchQuery { query: &q, k: 2 }];
-        let deadline = Deadline::after(std::time::Duration::from_millis(0));
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let got = tasm_corpus_batch_deadline_with_stats(
-            &queries,
-            &qdict,
-            &corpus,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-            &deadline,
-        );
-        assert!(got.is_err());
+        let plan = Plan {
+            deadline: Deadline::after(std::time::Duration::from_micros(100)),
+            ..Plan::new(Source::corpus(&corpus, &qdict), &queries)
+        };
+        let err = execute(plan, &mut ws).unwrap_err();
+        assert_eq!(err, ExecError::Deadline(DeadlineExceeded));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

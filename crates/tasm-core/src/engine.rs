@@ -10,17 +10,19 @@
 //! [`CandidateSink`]:
 //!
 //! * the single-query sink behind [`tasm_postorder`](crate::tasm_postorder);
-//! * the multi-query sink behind [`tasm_batch`](crate::tasm_batch),
-//!   which amortizes ring-buffer maintenance and candidate
+//! * the multi-query sink behind [`execute`](crate::execute)'s stream
+//!   scan, which amortizes ring-buffer maintenance and candidate
 //!   materialization across N queries in one pass;
-//! * the per-shard sinks of [`tasm_parallel`](crate::tasm_parallel),
-//!   where each worker runs its own engine over a contiguous slice of
-//!   the candidate stream.
+//! * the segment sink of the sharded stream scan, which hands
+//!   candidates to worker threads;
+//! * the per-shard sinks of the index driver, where each worker runs
+//!   its own engine over a contiguous slice of candidate regions.
 //!
 //! The engine preserves the zero-allocation steady state of PR 2: the
 //! scratch tree grows but never shrinks, so once its capacity covers τ
 //! the scan emits candidates without heap allocation.
 
+use crate::exec::{ExecError, StreamIntegrityError};
 use crate::ring_buffer::PrefixRingBuffer;
 use crate::server::deadline::{Deadline, DeadlineExceeded};
 use tasm_tree::{LabelId, NodeId, PostorderQueue, Tree};
@@ -80,8 +82,8 @@ pub struct ScanStats {
 
 impl ScanStats {
     /// Sums another pass's counters into this one (used by the batch
-    /// lanes sharing a scan and by `tasm_parallel` merging per-shard
-    /// stats; `peak_buffered` takes the maximum).
+    /// lanes sharing a scan and by the sharded drivers merging
+    /// per-shard stats; `peak_buffered` takes the maximum).
     pub fn merge(&mut self, other: &ScanStats) {
         self.candidates += other.candidates;
         self.nodes_seen += other.nodes_seen;
@@ -204,9 +206,14 @@ impl ScanEngine {
     /// stream order.
     ///
     /// The queue may encode a single tree or a forest of complete
-    /// subtrees (every prefix a valid forest) — the latter is how
-    /// [`tasm_parallel`](crate::tasm_parallel) shards one document
-    /// across engines.
+    /// subtrees (every prefix a valid forest) — the latter is how the
+    /// index driver shards one document across engines.
+    ///
+    /// # Panics
+    ///
+    /// If the stream holds more than `u32::MAX` nodes, more than the
+    /// `u32` node ids can number. [`execute`](crate::execute) reports
+    /// that case as an [`ExecError::Integrity`] instead.
     pub fn scan<Q: PostorderQueue + ?Sized>(
         &mut self,
         queue: &mut Q,
@@ -214,17 +221,19 @@ impl ScanEngine {
     ) -> ScanStats {
         match self.scan_with_deadline(queue, sink, &Deadline::none()) {
             Ok(stats) => stats,
-            Err(DeadlineExceeded) => unreachable!("Deadline::none() never expires"),
+            Err(e) => panic!("{e}"),
         }
     }
 
-    /// As [`scan`](Self::scan), but cooperatively cancellable: the
-    /// `deadline` token is checked once before the pass starts (forced)
-    /// and once per candidate (strided — see [`Deadline::poll`]). When
-    /// it expires the pass stops where it is and **no partial result**
-    /// reaches the caller beyond what the sink already consumed; the
-    /// sink's state must be discarded, since a ranking over a prefix of
-    /// the candidate stream could silently miss better subtrees.
+    /// As [`scan`](Self::scan), but cooperatively cancellable and
+    /// without panics: the `deadline` token is checked once before the
+    /// pass starts (forced) and once per candidate (strided — see
+    /// [`Deadline::poll`]). When it expires, or when the stream holds
+    /// more than `u32::MAX` nodes, the pass stops where it is
+    /// and **no partial result** reaches the caller beyond what the sink
+    /// already consumed; the sink's state must be discarded, since a
+    /// ranking over a prefix of the candidate stream could silently miss
+    /// better subtrees.
     ///
     /// This is the cancellation point the `tasm serve` daemon relies on
     /// to keep slow queries from wedging a worker.
@@ -233,18 +242,35 @@ impl ScanEngine {
         queue: &mut Q,
         sink: &mut dyn CandidateSink,
         deadline: &Deadline,
-    ) -> Result<ScanStats, DeadlineExceeded> {
+    ) -> Result<ScanStats, ExecError> {
+        self.drive(PrefixRingBuffer::new(queue, self.tau), sink, deadline)
+    }
+
+    /// The pass behind [`scan_with_deadline`](Self::scan_with_deadline),
+    /// over a caller-built ring buffer.
+    fn drive<Q: PostorderQueue + ?Sized>(
+        &mut self,
+        mut prb: PrefixRingBuffer<'_, Q>,
+        sink: &mut dyn CandidateSink,
+        deadline: &Deadline,
+    ) -> Result<ScanStats, ExecError> {
         if deadline.expired_now() {
-            return Err(DeadlineExceeded);
+            return Err(DeadlineExceeded.into());
         }
-        let mut prb = PrefixRingBuffer::new(queue, self.tau);
         let mut stats = ScanStats::default();
         while let Some(root) = prb.next_candidate_into(&mut self.cand) {
             if deadline.poll() {
-                return Err(DeadlineExceeded);
+                return Err(DeadlineExceeded.into());
             }
             sink.consume(&self.cand, root, &mut stats);
             stats.candidates += 1;
+        }
+        if prb.overflowed() {
+            return Err(StreamIntegrityError(format!(
+                "postorder position overflow: the stream holds more than {} nodes",
+                u32::MAX
+            ))
+            .into());
         }
         stats.nodes_seen = prb.nodes_seen();
         stats.peak_buffered = prb.peak_buffered();
@@ -256,7 +282,7 @@ impl ScanEngine {
 mod tests {
     use super::*;
     use crate::ring_buffer::prb_pruning;
-    use tasm_tree::{bracket, LabelDict, TreeQueue};
+    use tasm_tree::{bracket, LabelDict, PostorderEntry, TreeQueue, VecQueue};
 
     /// Collects owned copies of every candidate (test sink).
     struct Collect(Vec<(u32, Tree)>);
@@ -348,5 +374,36 @@ mod tests {
         assert_eq!(b.eval_decisions(), 10);
         assert!((b.prune_rate() - 0.8).abs() < 1e-9);
         assert_eq!(ScanStats::default().prune_rate(), 0.0);
+    }
+
+    #[test]
+    fn position_overflow_is_an_integrity_error() {
+        // A stream of leaves whose numbering starts 8 below u32::MAX:
+        // the ninth node has no u32 id. Before the fix the position
+        // counter wrapped silently in release builds and the scan kept
+        // emitting candidates with bogus spans.
+        let leaves: Vec<PostorderEntry> = (0..20)
+            .map(|_| PostorderEntry::new(LabelId(0), 1))
+            .collect();
+        let mut engine = ScanEngine::new(4);
+        let mut sink = Collect(Vec::new());
+        let mut q = VecQueue::new(leaves.clone());
+        let prb = PrefixRingBuffer::starting_at(&mut q, 4, u32::MAX - 8);
+        let err = engine.drive(prb, &mut sink, &Deadline::none()).unwrap_err();
+        assert!(
+            matches!(&err, ExecError::Integrity(e) if e.message().contains("overflow")),
+            "{err}"
+        );
+
+        // Exactly u32::MAX positions are fine: the last node is numbered
+        // u32::MAX and every candidate span stays exact.
+        let mut sink = Collect(Vec::new());
+        let mut q = VecQueue::new(leaves[..8].to_vec());
+        let prb = PrefixRingBuffer::starting_at(&mut q, 4, u32::MAX - 8);
+        let stats = engine.drive(prb, &mut sink, &Deadline::none()).unwrap();
+        assert_eq!(stats.candidates, 8);
+        assert_eq!(stats.nodes_seen, u32::MAX);
+        let roots: Vec<u32> = sink.0.iter().map(|(r, _)| *r).collect();
+        assert_eq!(roots, ((u32::MAX - 7)..=u32::MAX).collect::<Vec<_>>());
     }
 }

@@ -1,5 +1,6 @@
-//! Index-backed TASM: candidate generation from a persistent `.pqi`
-//! label index instead of a full document scan.
+//! Index-backed TASM — the [`Source::Index`](crate::Source::Index) arm
+//! of [`execute`](crate::execute): candidate generation from a
+//! persistent `.pqi` label index instead of a full document scan.
 //!
 //! The scan entry points pay `O(n)` per pass: every node of the document
 //! streams through the prefix ring buffer even when the top-k answers
@@ -27,23 +28,26 @@
 //! order, so the ranking is independent of evaluation order. Evaluated
 //! regions flow through the unchanged lane machinery
 //! ([`fan_out`](crate::lane::fan_out) into the cascade, heaps and
-//! [`ScanStats`] funnel), so `tasm_indexed` returns **identical**
+//! [`ScanStats`] funnel), so an index plan returns **identical**
 //! rankings to [`tasm_postorder`](crate::tasm_postorder) /
 //! [`tasm_naive`](crate::tasm_naive) (pinned by `tests/differential.rs`).
+//!
+//! With more than one thread, the regions left after a short seed phase
+//! are filtered against the frozen cutoffs, split into node-balanced
+//! contiguous groups, and replayed through one [`ScanEngine`] per worker
+//! over a [`SpanQueue`] (a valid postorder *forest* stream).
 
 use crate::batch::BatchQuery;
-use crate::engine::{ScanEngine, ScanStats};
-use crate::lane::{build_lanes, fan_out, reserve_lanes, scan_tau_of, EvalLane};
-use crate::parallel::{
-    merge_shard_results, resolve_threads, shard_spans, ShardResult, ShardSink, SpanQueue,
-};
-use crate::ranking::Match;
+use crate::engine::{CandidateSink, ScanEngine, ScanStats};
+use crate::exec::ExecError;
+use crate::lane::{build_lanes, fan_out, merge_shard_results, reserve_lanes, scan_tau_of};
+use crate::lane::{EvalLane, Ranked, ShardResult};
 use crate::server::deadline::{Deadline, DeadlineExceeded};
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::scratch_fits_cap;
 use tasm_index::IndexedDocument;
 use tasm_ted::{CascadeScratch, Cost, CostModel, TedStats, TedWorkspace};
-use tasm_tree::{LabelDict, LabelId, NodeId, Tree};
+use tasm_tree::{LabelDict, LabelId, NodeId, PostorderEntry, PostorderQueue, Tree};
 
 /// Once every lane's heap is full, how many further seed regions the
 /// parallel driver evaluates before freezing the cutoffs and handing
@@ -106,130 +110,138 @@ fn count_region_skip(lanes: &mut [EvalLane<'_>]) {
     }
 }
 
-/// Top-`k` ranking of `query` against an indexed document, identical to
-/// [`tasm_postorder`](crate::tasm_postorder) but generated from the
-/// `.pqi` index instead of a full scan.
-///
-/// `src_dict` is the dictionary `query` was parsed with; the query is
-/// re-encoded into the index's frequency-ordered label space
-/// internally. Label-dependent [`CostModel`]s must therefore be defined
-/// over the **index** label space (resolve names through
-/// [`IndexedDocument::dict`]); label-agnostic models like
-/// [`UnitCost`](tasm_ted::UnitCost) need no care. Matched subtrees
-/// (`keep_trees`) carry index-space labels.
-///
-/// # Examples
-///
-/// ```
-/// use tasm_tree::{bracket, LabelDict};
-/// use tasm_ted::UnitCost;
-/// use tasm_index::IndexedDocument;
-/// use tasm_core::{tasm_indexed, TasmOptions};
-///
-/// let mut dict = LabelDict::new();
-/// let q = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
-/// let doc = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
-/// let idx = IndexedDocument::build(&doc, &dict);
-/// let top2 = tasm_indexed(&q, &dict, &idx, 2, &UnitCost, 1, TasmOptions::default(), 1);
-/// assert_eq!(top2[0].root.post(), 6);
-/// assert_eq!(top2[1].root.post(), 3);
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_indexed(
-    query: &Tree,
-    src_dict: &LabelDict,
-    idx: &IndexedDocument,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-) -> Vec<Match> {
-    tasm_indexed_with_stats(query, src_dict, idx, k, model, c_t, opts, threads, None).0
+/// A postorder queue replaying selected `(lml, root)` spans of an
+/// in-memory document — each span a complete subtree, so every prefix of
+/// the stream is a valid forest (what the ring buffer requires).
+struct SpanQueue<'a> {
+    doc: &'a Tree,
+    spans: &'a [(u32, u32)],
+    /// Index of the span currently being replayed.
+    span_idx: usize,
+    /// Next document postorder number within the current span (0 = start
+    /// of the span not yet entered).
+    pos: u32,
 }
 
-/// As [`tasm_indexed`], but also returning the [`ScanStats`] of the
-/// index-driven pass. `nodes_seen` counts the nodes the index actually
-/// examined (candidate-frontier walk plus evaluated regions) — compare
-/// it against the document size to see what the index saved.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_indexed_with_stats(
-    query: &Tree,
-    src_dict: &LabelDict,
-    idx: &IndexedDocument,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> (Vec<Match>, ScanStats) {
-    let queries = [BatchQuery { query, k }];
-    let (mut rankings, scan, _) =
-        tasm_indexed_batch_with_stats(&queries, src_dict, idx, model, c_t, opts, threads, stats);
-    (rankings.pop().expect("one lane"), scan)
+impl<'a> SpanQueue<'a> {
+    fn new(doc: &'a Tree, spans: &'a [(u32, u32)]) -> Self {
+        SpanQueue {
+            doc,
+            spans,
+            span_idx: 0,
+            pos: 0,
+        }
+    }
 }
 
-/// Batch composition over an indexed document: answers every query of
-/// `queries` from one candidate-region pass over the index, with the
-/// region filter keeping a region alive as long as **any** lane still
-/// wants it. See [`tasm_indexed`] for the label-space contract.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_indexed_batch(
-    queries: &[BatchQuery<'_>],
-    src_dict: &LabelDict,
-    idx: &IndexedDocument,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> Vec<Vec<Match>> {
-    tasm_indexed_batch_with_stats(queries, src_dict, idx, model, c_t, opts, threads, stats).0
+impl PostorderQueue for SpanQueue<'_> {
+    fn dequeue(&mut self) -> Option<PostorderEntry> {
+        loop {
+            let &(lo, hi) = self.spans.get(self.span_idx)?;
+            if self.pos == 0 {
+                self.pos = lo;
+            }
+            if self.pos > hi {
+                self.span_idx += 1;
+                self.pos = 0;
+                continue;
+            }
+            let id = NodeId::new(self.pos);
+            self.pos += 1;
+            // Subtree sizes are invariant under the renumbering of a span
+            // to local postorder, so the arena values stream unchanged.
+            return Some(PostorderEntry {
+                label: self.doc.label(id),
+                size: self.doc.size(id),
+            });
+        }
+    }
 }
 
-/// What a stats-carrying indexed batch returns: per-query rankings,
-/// the aggregated [`ScanStats`], and the per-lane funnels in query
-/// order.
-pub type IndexedBatchOutput = (Vec<Vec<Match>>, ScanStats, Vec<ScanStats>);
-
-/// As [`tasm_indexed_batch`], but also returning the aggregated
-/// [`ScanStats`] and the per-lane statistics in query order (region
-/// skips count into each lane's histogram tier).
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_indexed_batch_with_stats(
-    queries: &[BatchQuery<'_>],
-    src_dict: &LabelDict,
-    idx: &IndexedDocument,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> IndexedBatchOutput {
-    tasm_indexed_batch_deadline_with_stats(
-        queries,
-        src_dict,
-        idx,
-        model,
-        c_t,
-        opts,
-        threads,
-        stats,
-        &Deadline::none(),
-    )
-    .expect("no deadline to exceed")
+/// Splits `spans` into at most `shards` contiguous groups of roughly
+/// equal **node** weight (candidate counts can be wildly uneven in
+/// size); every group is non-empty.
+fn shard_spans(spans: &[(u32, u32)], shards: usize) -> Vec<&[(u32, u32)]> {
+    let span_weight = |&(lo, hi): &(u32, u32)| u64::from(hi - lo + 1);
+    if spans.is_empty() {
+        return Vec::new();
+    }
+    let shards = shards.clamp(1, spans.len());
+    let mut out = Vec::with_capacity(shards);
+    let mut start = 0usize;
+    let mut remaining_weight: u64 = spans.iter().map(span_weight).sum();
+    for s in 0..shards {
+        if s + 1 == shards {
+            out.push(&spans[start..]);
+            break;
+        }
+        // Fill this shard up to its fair share of the remaining weight,
+        // but leave at least one span for each remaining shard. Since
+        // `shards <= spans.len()`, the cap always leaves this shard at
+        // least one span as well.
+        let target = remaining_weight / (shards - s) as u64;
+        let cap = spans.len() - (shards - s - 1);
+        let mut weight = 0u64;
+        let mut end = start;
+        while end < cap && (end == start || weight + span_weight(&spans[end]) <= target) {
+            weight += span_weight(&spans[end]);
+            end += 1;
+        }
+        out.push(&spans[start..end]);
+        remaining_weight -= weight;
+        start = end;
+    }
+    out
 }
 
-/// As [`tasm_indexed_batch_with_stats`], cooperatively cancellable at
-/// **region** granularity: the promise-ordered region loop polls
-/// `deadline` per region (strided — see [`Deadline::poll`]) and the
-/// shard workers poll per candidate, so one large document cannot
-/// overrun a request deadline by more than a single region evaluation.
-/// Expiry anywhere aborts the whole call with [`DeadlineExceeded`] —
-/// no partial ranking is returned.
+/// Shard-side sink: maps each emitted candidate back to its document
+/// span (the scan re-derives candidates 1:1 with the shard's spans, in
+/// order) and fans it out to every query lane of the shard.
+struct ShardSink<'a> {
+    lanes: Vec<EvalLane<'a>>,
+    teds: Vec<TedWorkspace>,
+    lb: CascadeScratch,
+    opts: TasmOptions,
+    spans: &'a [(u32, u32)],
+    next: usize,
+    stats: Option<TedStats>,
+}
+
+impl CandidateSink for ShardSink<'_> {
+    fn consume(&mut self, cand: &Tree, _local_root: NodeId, _scan: &mut ScanStats) {
+        let (lml, root) = self.spans[self.next];
+        self.next += 1;
+        debug_assert_eq!(
+            cand.len() as u32,
+            root - lml + 1,
+            "shard scan must re-derive exactly the sharded candidate"
+        );
+        fan_out(
+            &mut self.lanes,
+            &mut self.teds,
+            &mut self.lb,
+            cand,
+            lml - 1,
+            self.opts,
+            self.stats.as_mut(),
+        );
+    }
+}
+
+/// Answers every query of `queries` from one candidate-region pass over
+/// `idx`, with the region filter keeping a region alive as long as
+/// **any** lane still wants it (skips count into each lane's histogram
+/// tier; `nodes_seen` counts the nodes the index actually examined).
+/// `src_dict` is the dictionary the queries were parsed with; they are
+/// re-encoded by label name into the index's label space.
+///
+/// Cancellable at **region** granularity: the promise-ordered region
+/// loop polls `deadline` per region and the shard workers poll per
+/// candidate, so one large document cannot overrun a request deadline
+/// by more than a single region evaluation. Expiry anywhere aborts the
+/// whole call — no partial ranking is returned.
 #[allow(clippy::too_many_arguments)]
-pub fn tasm_indexed_batch_deadline_with_stats(
+pub(crate) fn indexed_batch(
     queries: &[BatchQuery<'_>],
     src_dict: &LabelDict,
     idx: &IndexedDocument,
@@ -239,14 +251,13 @@ pub fn tasm_indexed_batch_deadline_with_stats(
     threads: usize,
     stats: Option<&mut TedStats>,
     deadline: &Deadline,
-) -> Result<IndexedBatchOutput, DeadlineExceeded> {
+) -> Result<Ranked, ExecError> {
     if queries.is_empty() {
         return Ok((Vec::new(), ScanStats::default(), Vec::new()));
     }
     if deadline.expired_now() {
-        return Err(DeadlineExceeded);
+        return Err(DeadlineExceeded.into());
     }
-    let threads = resolve_threads(threads);
     let trees: Vec<&Tree> = queries.iter().map(|bq| bq.query).collect();
     let (encoded, _work_dict) = idx.encode_queries(&trees, src_dict);
     let equeries: Vec<BatchQuery<'_>> = encoded
@@ -299,7 +310,7 @@ pub fn tasm_indexed_batch_deadline_with_stats(
     let mut extra_after_full = 0usize;
     for (pos, &ri) in order.iter().enumerate() {
         if deadline.poll() {
-            return Err(DeadlineExceeded);
+            return Err(DeadlineExceeded.into());
         }
         if threads > 1 && lanes.iter().all(|l| l.heap.is_full()) {
             extra_after_full += 1;
@@ -344,7 +355,7 @@ pub fn tasm_indexed_batch_deadline_with_stats(
         // warm seed lanes.
         for &span in &survivors {
             if deadline.poll() {
-                return Err(DeadlineExceeded);
+                return Err(DeadlineExceeded.into());
             }
             eval_span(
                 span,
@@ -364,55 +375,51 @@ pub fn tasm_indexed_batch_deadline_with_stats(
         // `Deadline` is deliberately `!Sync`, so each worker mints its
         // own token from the shared expiry instant.
         let expiry = deadline.instant();
-        let worker_results: Result<Vec<ShardResult>, DeadlineExceeded> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            let worker_deadline = match expiry {
-                                Some(at) => Deadline::at(at),
-                                None => Deadline::none(),
-                            };
-                            let (lanes, _) = build_lanes(equeries, model, c_t, opts.kernel);
-                            let mut teds: Vec<TedWorkspace> =
-                                (0..lanes.len()).map(|_| TedWorkspace::new()).collect();
-                            let mut lb = CascadeScratch::new();
-                            reserve_lanes(&lanes, &mut teds, &mut lb, scan_tau);
-                            let mut engine = ScanEngine::new(scan_tau);
-                            if scratch_fits_cap(scan_tau as usize) {
-                                engine.reserve();
-                            }
-                            let mut sink = ShardSink {
-                                lanes,
-                                teds,
-                                lb,
-                                opts,
-                                spans: shard,
-                                next: 0,
-                                stats: want_ted_stats.then(TedStats::new),
-                            };
-                            let mut queue = SpanQueue::new(doc, shard);
-                            let scan = engine.scan_with_deadline(
-                                &mut queue,
-                                &mut sink,
-                                &worker_deadline,
-                            )?;
-                            debug_assert_eq!(scan.candidates, shard.len());
-                            Ok(ShardResult {
-                                lane_funnels: sink.lanes.iter().map(|l| l.stats).collect(),
-                                heaps: sink.lanes.into_iter().map(|l| l.heap).collect(),
-                                scan,
-                                ted_stats: sink.stats,
-                            })
+        let worker_results: Result<Vec<ShardResult>, ExecError> = std::thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .iter()
+                .map(|shard| {
+                    scope.spawn(move || {
+                        let worker_deadline = match expiry {
+                            Some(at) => Deadline::at(at),
+                            None => Deadline::none(),
+                        };
+                        let (lanes, _) = build_lanes(equeries, model, c_t, opts.kernel);
+                        let mut teds: Vec<TedWorkspace> =
+                            (0..lanes.len()).map(|_| TedWorkspace::new()).collect();
+                        let mut lb = CascadeScratch::new();
+                        reserve_lanes(&lanes, &mut teds, &mut lb, scan_tau);
+                        let mut engine = ScanEngine::new(scan_tau);
+                        if scratch_fits_cap(scan_tau as usize) {
+                            engine.reserve();
+                        }
+                        let mut sink = ShardSink {
+                            lanes,
+                            teds,
+                            lb,
+                            opts,
+                            spans: shard,
+                            next: 0,
+                            stats: want_ted_stats.then(TedStats::new),
+                        };
+                        let mut queue = SpanQueue::new(doc, shard);
+                        let scan =
+                            engine.scan_with_deadline(&mut queue, &mut sink, &worker_deadline)?;
+                        debug_assert_eq!(scan.candidates, shard.len());
+                        Ok(ShardResult {
+                            lane_funnels: sink.lanes.iter().map(|l| l.stats).collect(),
+                            heaps: sink.lanes.into_iter().map(|l| l.heap).collect(),
+                            scan,
+                            ted_stats: sink.stats,
                         })
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("indexed shard worker panicked"))
-                    .collect()
-            });
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("indexed shard worker panicked"))
+                .collect()
+        });
         results.extend(worker_results?);
     }
 
@@ -428,167 +435,57 @@ pub fn tasm_indexed_batch_deadline_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tasm_postorder::tasm_postorder;
-    use tasm_ted::UnitCost;
-    use tasm_tree::{bracket, TreeQueue};
-
-    fn wide_doc(dict: &mut LabelDict, records: usize) -> Tree {
-        let mut s = String::from("{dblp");
-        for i in 0..records {
-            match i % 4 {
-                0 => s.push_str("{article{auth{John}}{title{X1}}}"),
-                1 => s.push_str("{book{title{X2}}}"),
-                2 => s.push_str("{article{auth{Mike}}{title{X3}}{year}}"),
-                _ => s.push_str("{proceedings{conf{VLDB}}}"),
-            }
-        }
-        s.push('}');
-        bracket::parse(&s, dict).unwrap()
-    }
-
-    fn key(ms: &[Match]) -> Vec<(u32, u64, u32)> {
-        ms.iter()
-            .map(|m| (m.root.post(), m.distance.halves(), m.size))
-            .collect()
-    }
+    use tasm_tree::bracket;
 
     #[test]
-    fn indexed_matches_sequential_ranking() {
+    fn shard_spans_cover_everything_contiguously() {
         let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 25);
-        let q = bracket::parse("{article{auth{John}}{title{X9}}}", &mut dict).unwrap();
-        let idx = IndexedDocument::build(&doc, &dict);
-        for k in [1, 3, 10] {
-            let mut queue = TreeQueue::new(&doc);
-            let want = tasm_postorder(
-                &q,
-                &mut queue,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                None,
-            );
-            for threads in [1, 3] {
-                let got = tasm_indexed(
-                    &q,
-                    &dict,
-                    &idx,
-                    k,
-                    &UnitCost,
-                    1,
-                    TasmOptions::default(),
-                    threads,
-                );
-                assert_eq!(key(&got), key(&want), "k = {k}, threads = {threads}");
-            }
+        let mut src = String::from("{dblp");
+        for i in 0..50 {
+            src.push_str(["{article{a}{t}}", "{book{t}}", "{article{a}{t}{y}}"][i % 3]);
         }
+        src.push('}');
+        let doc = bracket::parse(&src, &mut dict).unwrap();
+        let (spans, _) = IndexedDocument::build(&doc, &dict).candidate_spans(5);
+        for shards in 1..=8 {
+            let groups = shard_spans(&spans, shards);
+            assert!(!groups.is_empty() && groups.len() <= shards);
+            assert!(groups.iter().all(|g| !g.is_empty()));
+            let flat: Vec<_> = groups.iter().flat_map(|g| g.iter().copied()).collect();
+            assert_eq!(flat, spans, "shards = {shards}");
+        }
+        assert_eq!(shard_spans(&[], 4).len(), 0);
     }
 
     #[test]
     fn indexed_examines_fewer_nodes_once_heap_is_tight() {
+        use crate::exec::{execute, Plan, Source};
         let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 200);
-        let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut dict).unwrap();
-        let idx = IndexedDocument::build(&doc, &dict);
-        let (ranking, scan) = tasm_indexed_with_stats(
-            &q,
-            &dict,
-            &idx,
-            1,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-        );
-        assert_eq!(ranking[0].distance, Cost::ZERO); // exact matches exist
-        assert!(
-            u64::from(scan.nodes_seen) < doc.len() as u64,
-            "index examined {} of {} nodes",
-            scan.nodes_seen,
-            doc.len()
-        );
-        assert!(scan.pruned_histogram > 0, "region filter never fired");
-    }
-
-    #[test]
-    fn expired_deadline_aborts_before_any_region() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 30);
-        let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut dict).unwrap();
-        let idx = IndexedDocument::build(&doc, &dict);
-        let queries = [BatchQuery { query: &q, k: 3 }];
-        let deadline = Deadline::after(std::time::Duration::ZERO);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let got = tasm_indexed_batch_deadline_with_stats(
-            &queries,
-            &dict,
-            &idx,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            1,
-            None,
-            &deadline,
-        );
-        assert_eq!(got.unwrap_err(), DeadlineExceeded);
-    }
-
-    #[test]
-    fn no_deadline_matches_the_plain_entry_point() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 40);
-        let q = bracket::parse("{article{auth{Mike}}{title{X3}}}", &mut dict).unwrap();
-        let idx = IndexedDocument::build(&doc, &dict);
-        let queries = [BatchQuery { query: &q, k: 5 }];
-        for threads in [1, 3] {
-            let (want, _, _) = tasm_indexed_batch_with_stats(
-                &queries,
-                &dict,
-                &idx,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-            );
-            let (got, _, _) = tasm_indexed_batch_deadline_with_stats(
-                &queries,
-                &dict,
-                &idx,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-                None,
-                &Deadline::none(),
-            )
-            .unwrap();
-            assert_eq!(
-                got.iter().map(|l| key(l)).collect::<Vec<_>>(),
-                want.iter().map(|l| key(l)).collect::<Vec<_>>(),
-                "threads = {threads}"
+        let mut src = String::from("{dblp");
+        for i in 0..200 {
+            src.push_str(
+                [
+                    "{article{auth{John}}{title{X1}}}",
+                    "{book{title{X2}}}",
+                    "{article{auth{Mike}}{title{X3}}{year}}",
+                    "{proceedings{conf{VLDB}}}",
+                ][i % 4],
             );
         }
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 4);
+        src.push('}');
+        let doc = bracket::parse(&src, &mut dict).unwrap();
+        let q = bracket::parse("{article{auth{John}}{title{X1}}}", &mut dict).unwrap();
         let idx = IndexedDocument::build(&doc, &dict);
-        let (rankings, scan, lanes) = tasm_indexed_batch_with_stats(
-            &[],
-            &dict,
-            &idx,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            2,
-            None,
+        let queries = [BatchQuery { query: &q, k: 1 }];
+        let plan = Plan::new(Source::index(&idx, &dict), &queries);
+        let out = execute(plan, &mut crate::BatchWorkspace::new()).unwrap();
+        assert_eq!(out.rankings[0][0].distance, Cost::ZERO); // exact matches exist
+        assert!(
+            u64::from(out.scan.nodes_seen) < doc.len() as u64,
+            "index examined {} of {} nodes",
+            out.scan.nodes_seen,
+            doc.len()
         );
-        assert!(rankings.is_empty() && lanes.is_empty());
-        assert_eq!(scan, ScanStats::default());
+        assert!(out.scan.pruned_histogram > 0, "region filter never fired");
     }
 }

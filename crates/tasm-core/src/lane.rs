@@ -7,22 +7,21 @@
 //! counters. The scan axes compose by instantiating lanes in different
 //! places:
 //!
-//! * [`tasm_batch`](crate::tasm_batch) — N lanes behind **one** shared
+//! * the single-threaded stream scan — N lanes behind **one** shared
 //!   scan;
-//! * [`tasm_batch_parallel`](crate::tasm_batch_parallel) — N lanes
-//!   inside **each** span shard (batch×parallel, materialized);
-//! * [`tasm_batch_parallel_stream`](crate::tasm_batch_parallel_stream)
-//!   — N lanes inside each streaming shard worker (batch×parallel over
-//!   a postorder stream, no materialized tree).
+//! * the sharded stream scan — N lanes inside each worker (no
+//!   materialized tree);
+//! * the index driver — N lanes on the seed thread and inside each
+//!   region-shard worker.
 //!
 //! Per-lane heaps of the sharded paths merge with
-//! [`TopKHeap::merge`]; the rank key is a total order, so any
+//! [`merge_shard_results`]; the rank key is a total order, so any
 //! composition returns exactly the sequential per-query rankings
 //! (pinned by `tests/differential.rs`).
 
 use crate::batch::BatchQuery;
 use crate::engine::ScanStats;
-use crate::ranking::TopKHeap;
+use crate::ranking::{Match, TopKHeap};
 use crate::tasm_dynamic::TasmOptions;
 use crate::tasm_postorder::process_candidate_parts;
 use crate::threshold::threshold;
@@ -166,4 +165,58 @@ pub(crate) fn fan_out(
             ted_stats.as_deref_mut(),
         );
     }
+}
+
+/// What every lane-based driver returns: one ranking per query, the
+/// aggregate statistics (the pass plus every lane's funnel), and the
+/// per-lane statistics, all in query order.
+pub(crate) type Ranked = (Vec<Vec<Match>>, ScanStats, Vec<ScanStats>);
+
+/// The result one shard worker hands back: per-lane heaps and funnels
+/// plus the shard's scan-layer counters and (optional) distance stats.
+pub(crate) struct ShardResult {
+    pub(crate) heaps: Vec<TopKHeap>,
+    pub(crate) lane_funnels: Vec<ScanStats>,
+    pub(crate) scan: ScanStats,
+    pub(crate) ted_stats: Option<TedStats>,
+}
+
+/// Merges per-shard results into one ranking per lane plus the
+/// aggregated statistics, preserving lane (query) order. Scan-layer
+/// counters sum across shards (each scanned disjoint candidates);
+/// per-lane funnels sum; the aggregate adds all lane funnels on top.
+pub(crate) fn merge_shard_results(
+    n_lanes: usize,
+    results: Vec<ShardResult>,
+    mut stats: Option<&mut TedStats>,
+) -> Ranked {
+    let mut merged: Vec<Option<TopKHeap>> = (0..n_lanes).map(|_| None).collect();
+    let mut lane_stats = vec![ScanStats::default(); n_lanes];
+    let mut scan = ScanStats::default();
+    for shard in results {
+        scan.merge(&shard.scan);
+        if let (Some(out), Some(ts)) = (stats.as_deref_mut(), shard.ted_stats.as_ref()) {
+            out.merge(ts);
+        }
+        for (i, (heap, funnel)) in shard.heaps.into_iter().zip(shard.lane_funnels).enumerate() {
+            lane_stats[i].merge(&funnel);
+            merged[i] = Some(match merged[i].take() {
+                None => heap,
+                Some(mut acc) => {
+                    acc.merge(heap);
+                    acc
+                }
+            });
+        }
+    }
+    let mut aggregate = scan;
+    for ls in &mut lane_stats {
+        ls.adopt_scan_layer(&scan);
+        aggregate.merge_funnel(ls);
+    }
+    let rankings = merged
+        .into_iter()
+        .map(|h| h.expect("every lane ran on every shard").into_sorted())
+        .collect();
+    (rankings, aggregate, lane_stats)
 }

@@ -16,26 +16,32 @@
 //! * [`simple_pruning`] — the O(n)-buffer pruning baseline of Sec. V-B;
 //! * [`ScanEngine`] / [`CandidateSink`] — the streaming scan layer the
 //!   algorithms above are built on, reusable for custom evaluations;
-//! * [`tasm_batch`] — N queries answered in **one** shared document scan;
-//! * [`tasm_parallel`] — the candidate stream sharded across worker
-//!   threads, merged with [`TopKHeap::merge`];
-//! * [`tasm_batch_parallel`] — the two axes composed: N query lanes
-//!   inside each of T span shards of a materialized document;
-//! * [`tasm_parallel_stream`] / [`tasm_batch_parallel_stream`] — the
-//!   sharded scans over a pure postorder **stream**: candidates travel
-//!   to the workers as pooled postorder segments, so the document is
-//!   never materialized and memory stays `O(threads · τ + Σ m_i²)`;
-//! * [`tasm_indexed`] / [`tasm_indexed_batch`] — scan-free candidate
-//!   generation from a persistent `.pqi` label index
-//!   ([`IndexedDocument`](tasm_index::IndexedDocument)): candidate
-//!   regions come from the subtree-size column and the label postings
-//!   bound each region before it is ever materialized;
-//! * [`tasm_corpus`] / [`tasm_corpus_batch`] — cross-document top-k
-//!   over a crash-safe corpus store ([`Corpus`](tasm_index::Corpus)):
-//!   every healthy shard answers via the index path and the per-shard
-//!   rankings merge on a deterministic corpus rank key, with
-//!   quarantined shards surfaced as an explicit `healthy/total`
-//!   degraded marker ([`CorpusStatus`]).
+//! * [`execute`] — the one executor behind the CLI, the daemon and the
+//!   `tasm` facade. A [`Plan`] carries a batch of [`BatchQuery`]s (a
+//!   single query is a batch of one), a [`Source`], the cost model,
+//!   [`TasmOptions`], a thread budget, a [`Deadline`] and optional
+//!   [`TedStats`](tasm_ted::TedStats); the [`Output`] holds one ranking
+//!   per query plus the [`ScanStats`] funnel. The source is one of
+//!   - [`Source::Stream`] — any [`PostorderQueue`](tasm_tree::PostorderQueue)
+//!     (XML, `.pq`, or a materialized tree behind a
+//!     [`TreeQueue`](tasm_tree::TreeQueue)), scanned once with `O(τ)`
+//!     memory; with more threads the candidates travel to workers as
+//!     pooled postorder segments, so memory stays
+//!     `O(threads · τ + Σ m_i²)`;
+//!   - [`Source::Index`] — scan-free candidate generation from a
+//!     persistent `.pqi` label index
+//!     ([`IndexedDocument`](tasm_index::IndexedDocument)): candidate
+//!     regions come from the subtree-size column and the label postings
+//!     bound each region before it is ever materialized;
+//!   - [`Source::Corpus`] — cross-document top-k over a crash-safe
+//!     corpus store ([`Corpus`](tasm_index::Corpus)): every healthy
+//!     shard answers via the index path, rankings merge on the
+//!     `(distance, shard, postorder, size)` key, and quarantined shards
+//!     surface as an explicit `healthy/total` [`CorpusStatus`].
+//!
+//!   Every plan returns exactly the [`tasm_naive`] ranking, down to
+//!   node ids, for every source, thread count, kernel and cascade
+//!   setting.
 //!
 //! Between the scan and every evaluation sits the admissible
 //! lower-bound **pruning cascade**
@@ -65,6 +71,14 @@
 //! let top1 = tasm_postorder(&query, &mut stream, 1, &UnitCost, 1,
 //!                           TasmOptions::default(), None);
 //! assert_eq!(top1[0].root.post(), 5); // the article subtree
+//!
+//! // The same query through the executor, on two threads.
+//! use tasm_core::{execute, BatchQuery, BatchWorkspace, Plan, Source};
+//! let queries = [BatchQuery { query: &query, k: 1 }];
+//! let mut stream = TreeQueue::new(&doc);
+//! let plan = Plan { threads: 2, ..Plan::new(Source::Stream(&mut stream), &queries) };
+//! let out = execute(plan, &mut BatchWorkspace::new()).unwrap();
+//! assert_eq!(out.rankings[0], top1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,10 +87,10 @@
 mod batch;
 mod corpus;
 mod engine;
+mod exec;
 mod indexed;
 mod lane;
 mod naive;
-mod parallel;
 mod ranking;
 mod ring_buffer;
 mod server;
@@ -87,23 +101,11 @@ mod tasm_postorder;
 mod threshold;
 mod workspace;
 
-pub use batch::{
-    tasm_batch, tasm_batch_deadline_with_workspace, tasm_batch_with_workspace, BatchQuery,
-    BatchWorkspace,
-};
-pub use corpus::{
-    tasm_corpus, tasm_corpus_batch, tasm_corpus_batch_deadline_with_stats,
-    tasm_corpus_batch_with_stats, CorpusBatchOutput, CorpusMatch, CorpusShardStats, CorpusStatus,
-};
+pub use batch::{BatchQuery, BatchWorkspace};
+pub use corpus::{CorpusShardStats, CorpusStatus};
 pub use engine::{CandidateSink, ScanEngine, ScanStats};
-pub use indexed::{
-    tasm_indexed, tasm_indexed_batch, tasm_indexed_batch_deadline_with_stats,
-    tasm_indexed_batch_with_stats, tasm_indexed_with_stats, IndexedBatchOutput,
-};
+pub use exec::{execute, ExecError, Output, Plan, Source, StreamIntegrityError};
 pub use naive::tasm_naive;
-pub use parallel::{
-    tasm_batch_parallel, tasm_batch_parallel_with_stats, tasm_parallel, tasm_parallel_with_stats,
-};
 pub use ranking::{Match, TopKHeap};
 pub use ring_buffer::{
     candidate_set_reference, prb_pruning, prb_pruning_stats, Candidate, PrefixRingBuffer,
@@ -112,12 +114,6 @@ pub use ring_buffer::{
 pub use server::deadline::{Deadline, DeadlineExceeded};
 pub use server::{Doc, DocStore, QueryParser, Server, ServerConfig};
 pub use simple_pruning::simple_pruning;
-pub use stream_shard::{
-    tasm_batch_parallel_stream, tasm_batch_parallel_stream_deadline_with_workspace,
-    tasm_batch_parallel_stream_with_stats, tasm_batch_parallel_stream_with_workspace,
-    tasm_parallel_stream, tasm_parallel_stream_with_stats, BatchStreamOutput, StreamIntegrityError,
-    StreamScanError,
-};
 pub use tasm_dynamic::{tasm_dynamic, tasm_dynamic_with_workspace, TasmOptions};
 pub use tasm_postorder::{process_candidate, tasm_postorder, tasm_postorder_with_workspace};
 pub use tasm_ted::TedKernel;

@@ -27,6 +27,7 @@ pub fn tasm_naive(
         }
         let distance = ted(query, &subtree, model);
         heap.offer(Match {
+            shard: 0,
             root: j,
             size: doc.size(j),
             distance,

@@ -15,6 +15,9 @@ use tasm_tree::{NodeId, Tree};
 /// One ranked answer: a document subtree and its distance to the query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Match {
+    /// Manifest index of the corpus shard holding the subtree (0 outside
+    /// a corpus).
+    pub shard: u32,
     /// Root of the matched subtree: its postorder number in the document.
     pub root: NodeId,
     /// Number of nodes of the matched subtree.
@@ -27,10 +30,12 @@ pub struct Match {
 }
 
 impl Match {
-    /// The total order used by the ranking: by distance, then by postorder
-    /// number (earlier document positions win ties), then by size.
-    fn rank_key(&self) -> (Cost, u32, u32) {
-        (self.distance, self.root.post(), self.size)
+    /// The total order used by the ranking: by distance, then by corpus
+    /// shard, then by postorder number (earlier document positions win
+    /// ties), then by size. Within one document the shard is constant,
+    /// so the order is the paper's `(distance, postorder)` one.
+    fn rank_key(&self) -> (Cost, u32, u32, u32) {
+        (self.distance, self.shard, self.root.post(), self.size)
     }
 }
 
@@ -126,12 +131,12 @@ impl TopKHeap {
     /// by popping back down to `k`).
     ///
     /// The result keeps **this** heap's `k`; `other`'s `k` only bounded
-    /// how many entries it contributes. Because the rank key
-    /// ([`Match::rank_key`]: distance, then document postorder number,
-    /// then size) is a total order, the merged content is the unique
-    /// top-`k` of the union and does not depend on merge order — the
-    /// guarantee `tasm_parallel` relies on when combining per-shard
-    /// heaps.
+    /// how many entries it contributes. Because the rank key (distance,
+    /// then corpus shard, then document postorder number, then size) is
+    /// a total order, the merged content is the unique top-`k` of the
+    /// union and does not depend on merge order — the guarantee
+    /// [`execute`](crate::execute) relies on when combining per-worker
+    /// and per-shard heaps.
     pub fn merge(&mut self, other: TopKHeap) {
         for e in other.heap {
             self.offer(e.0);
@@ -172,6 +177,7 @@ mod tests {
 
     fn m(dist: u64, root: u32) -> Match {
         Match {
+            shard: 0,
             root: NodeId::new(root),
             size: 1,
             distance: Cost::from_natural(dist),

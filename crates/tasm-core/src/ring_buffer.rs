@@ -64,13 +64,16 @@ pub struct PrefixRingBuffer<'q, Q: PostorderQueue + ?Sized> {
     b: usize,
     tau: u32,
     lbl: Vec<LabelId>,
-    pfx: Vec<u32>,
+    /// Positions are 64-bit so the counter never wraps; candidates are
+    /// only emitted while they fit the `u32` node ids (see
+    /// [`overflowed`](Self::overflowed)).
+    pfx: Vec<u64>,
     /// Slot of the leftmost buffered node.
     s: usize,
     /// Slot one past the rightmost buffered node.
     e: usize,
     /// Number of nodes appended so far (= postorder number of the newest).
-    c: u32,
+    c: u64,
     /// Peak number of buffered nodes (instrumentation; Theorem 2 says <= τ).
     peak: usize,
 }
@@ -88,6 +91,13 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
     ///
     /// [`ScanEngine`]: crate::ScanEngine
     pub fn new(queue: &'q mut Q, tau: u32) -> Self {
+        Self::starting_at(queue, tau, 0)
+    }
+
+    /// As [`new`](Self::new), but numbering the first streamed node
+    /// `first + 1` — lets tests reach the end of the `u32` position
+    /// range without streaming four billion nodes.
+    pub(crate) fn starting_at(queue: &'q mut Q, tau: u32, first: u32) -> Self {
         debug_assert!(tau >= 1, "PrefixRingBuffer requires tau >= 1, got {tau}");
         let tau = tau.max(1);
         let b = tau as usize + 1;
@@ -97,9 +107,10 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
             tau,
             lbl: vec![LabelId(0); b],
             pfx: vec![0; b],
-            s: 0,
-            e: 0,
-            c: 0,
+            // Node `first + 1` lives in slot `first % b`.
+            s: first as usize % b,
+            e: first as usize % b,
+            c: u64::from(first),
             peak: 0,
         }
     }
@@ -114,13 +125,23 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
         self.peak
     }
 
-    /// Number of nodes consumed from the queue so far.
+    /// Number of nodes consumed from the queue so far (saturating at
+    /// `u32::MAX`).
     pub fn nodes_seen(&self) -> u32 {
-        self.c
+        u32::try_from(self.c).unwrap_or(u32::MAX)
+    }
+
+    /// Whether the stream held more than `u32::MAX` nodes, beyond what
+    /// the `u32` node ids can number. [`next_candidate`](Self::next_candidate)
+    /// then stops at the first candidate past that position; the
+    /// candidates emitted so far cover only a prefix of the document, so
+    /// callers must not rank them.
+    pub fn overflowed(&self) -> bool {
+        self.c > u64::from(u32::MAX)
     }
 
     #[inline]
-    fn slot(&self, id: u32) -> usize {
+    fn slot(&self, id: u64) -> usize {
         ((id - 1) as usize) % self.b
     }
 
@@ -136,12 +157,14 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
 
     /// Postorder number of the node in the leftmost slot.
     #[inline]
-    fn leftmost_id(&self) -> u32 {
-        self.c + 1 - self.buffered() as u32
+    fn leftmost_id(&self) -> u64 {
+        self.c + 1 - self.buffered() as u64
     }
 
     /// Advances the scan to the next candidate subtree (the paper's
-    /// `prb-next`), returning `None` when queue and buffer are exhausted.
+    /// `prb-next`), returning `None` when queue and buffer are exhausted
+    /// or the next candidate lies past node id `u32::MAX` (see
+    /// [`overflowed`](Self::overflowed)).
     pub fn next_candidate(&mut self) -> Option<Candidate> {
         let (lo, root) = self.advance()?;
         let cand = self.materialize(lo, root);
@@ -168,7 +191,8 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
 
     /// Core of the scan: finds the next candidate span `lo..=root`
     /// (document postorder numbers) without removing it from the ring.
-    fn advance(&mut self) -> Option<(u32, u32)> {
+    /// Stops (`None`) at a candidate whose root has no `u32` node id.
+    fn advance(&mut self) -> Option<(u64, u32)> {
         loop {
             // Step 1: fill the ring from the queue.
             let mut queue_empty = false;
@@ -191,7 +215,7 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
                 if self.pfx[self.s] >= id {
                     // Leaf: it starts a candidate subtree; the prefix array
                     // points at the root of the largest valid subtree.
-                    return Some((id, self.pfx[self.s]));
+                    return Some((id, u32::try_from(self.pfx[self.s]).ok()?));
                 }
                 // Non-leaf at the leftmost position: by Lemma 2 it roots a
                 // subtree larger than τ — skip it.
@@ -203,15 +227,18 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
     /// Removes an emitted candidate from the ring: jump past its root.
     #[inline]
     fn consume(&mut self, root: u32) {
-        self.s = self.slot(root + 1);
+        self.s = self.slot(u64::from(root) + 1);
     }
 
     /// Appends one postorder entry (Step 1 of the pruning).
     fn append(&mut self, label: LabelId, size: u32) {
         self.c += 1;
         let id = self.c;
-        debug_assert!(size >= 1 && size <= id, "postorder sizes are 1..=id");
-        let lml = id - size + 1;
+        debug_assert!(
+            size >= 1 && u64::from(size) <= id,
+            "postorder sizes are 1..=id"
+        );
+        let lml = id - u64::from(size) + 1;
         self.lbl[self.e] = label;
         self.pfx[self.e] = lml;
         if size <= self.tau {
@@ -230,11 +257,11 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
     /// Subtree sizes are recovered from the prefix array: a slot holds a
     /// leaf iff its pointer is `>= id` (size 1), otherwise the pointer is
     /// the node's leftmost leaf.
-    fn materialize(&self, lo: u32, root: u32) -> Candidate {
-        let n = (root - lo + 1) as usize;
+    fn materialize(&self, lo: u64, root: u32) -> Candidate {
+        let n = (u64::from(root) - lo + 1) as usize;
         let mut labels = Vec::with_capacity(n);
         let mut sizes = Vec::with_capacity(n);
-        for id in lo..=root {
+        for id in lo..=u64::from(root) {
             let (label, size) = self.node_entry(id);
             labels.push(label);
             sizes.push(size);
@@ -249,16 +276,16 @@ impl<'q, Q: PostorderQueue + ?Sized> PrefixRingBuffer<'q, Q> {
 
     /// As [`PrefixRingBuffer::materialize`], but renumbering into the
     /// caller's scratch tree (allocation-free once warm).
-    fn materialize_into(&self, lo: u32, root: u32, scratch: &mut Tree) {
-        scratch.set_postorder_unchecked((lo..=root).map(|id| self.node_entry(id)));
+    fn materialize_into(&self, lo: u64, root: u32, scratch: &mut Tree) {
+        scratch.set_postorder_unchecked((lo..=u64::from(root)).map(|id| self.node_entry(id)));
     }
 
     /// Recovers the `(label, local subtree size)` of buffered node `id`.
     #[inline]
-    fn node_entry(&self, id: u32) -> (LabelId, u32) {
+    fn node_entry(&self, id: u64) -> (LabelId, u32) {
         let slot = self.slot(id);
         let p = self.pfx[slot];
-        let size = if p >= id { 1 } else { id - p + 1 };
+        let size = if p >= id { 1 } else { (id - p + 1) as u32 };
         debug_assert!(size <= self.tau, "candidate node exceeds τ");
         (self.lbl[slot], size)
     }
@@ -271,6 +298,11 @@ pub(crate) const INITIAL_RESERVE_CAP: usize = 4096;
 
 /// Convenience: runs the full pruning (Algorithm 1, `prb-pruning`) and
 /// collects the candidate set.
+///
+/// # Panics
+///
+/// If the stream holds more than `u32::MAX` nodes (see
+/// [`PrefixRingBuffer::overflowed`]).
 pub fn prb_pruning<Q: PostorderQueue + ?Sized>(queue: &mut Q, tau: u32) -> Vec<Candidate> {
     let mut prb = PrefixRingBuffer::new(queue, tau);
     // The stream length is unknown, but the ring bound b = τ + 1 is a
@@ -280,6 +312,7 @@ pub fn prb_pruning<Q: PostorderQueue + ?Sized>(queue: &mut Q, tau: u32) -> Vec<C
     while let Some(c) = prb.next_candidate() {
         out.push(c);
     }
+    assert!(!prb.overflowed(), "stream exceeds u32::MAX nodes");
     out
 }
 
@@ -345,6 +378,10 @@ pub struct PruningStats {
 /// Runs the pruning, collecting only statistics (used by experiments that
 /// do not need the candidate trees). `stats_sink` receives one relevant
 /// "document side" record per candidate if provided.
+///
+/// # Panics
+///
+/// As [`prb_pruning`], on a stream of more than `u32::MAX` nodes.
 pub fn prb_pruning_stats<Q: PostorderQueue + ?Sized>(
     queue: &mut Q,
     tau: u32,
@@ -359,6 +396,7 @@ pub fn prb_pruning_stats<Q: PostorderQueue + ?Sized>(
             s.record_relevant(c.tree.len() as u32);
         }
     }
+    assert!(!prb.overflowed(), "stream exceeds u32::MAX nodes");
     st.peak_buffered = prb.peak_buffered();
     st.nodes_seen = prb.nodes_seen();
     st

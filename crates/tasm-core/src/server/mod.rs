@@ -5,7 +5,7 @@
 //! per query — fine for a benchmark, wasteful for a workload. `serve`
 //! keeps [`Doc`]s (parsed tree + label dictionary) resident behind a
 //! newline-delimited socket protocol (see [`conn`]) and drives each
-//! request through the same `tasm_batch` evaluation path the CLI uses,
+//! request through the same [`execute`](crate::execute) path the CLI uses,
 //! so a ranking from the daemon is byte-for-byte the ranking the
 //! one-shot CLI prints (differential-tested).
 //!
@@ -44,14 +44,12 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::batch::{tasm_batch_deadline_with_workspace, BatchQuery, BatchWorkspace};
-use crate::corpus::tasm_corpus_batch_deadline_with_stats;
+use crate::batch::{BatchQuery, BatchWorkspace};
+use crate::exec::{execute, Plan, Source};
 use crate::server::admission::{Admission, PendingRequest};
 use crate::server::conn::{handle_conn, ConnCtx, ConnStream, Response, Row, WireStats};
 use crate::server::deadline::Deadline;
-use crate::tasm_dynamic::TasmOptions;
 use tasm_index::Corpus;
-use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, Tree, TreeQueue};
 
 /// What a resident document holds: one parsed tree, or a whole corpus
@@ -453,14 +451,17 @@ fn worker_loop(admission: &Admission, corpus_threads: usize) {
     }
 }
 
-fn rows(matches: Vec<crate::ranking::Match>) -> Vec<Row> {
+/// Wire rows of one ranking; `corpus` names each row's shard.
+fn rows(matches: Vec<crate::ranking::Match>, corpus: Option<&Corpus>) -> Vec<Row> {
     matches
         .into_iter()
         .map(|m| Row {
             root: m.root.post(),
             distance: m.distance,
             size: m.size,
-            doc: None,
+            doc: corpus
+                .and_then(|c| c.shard_name(m.shard as usize))
+                .map(str::to_string),
         })
         .collect()
 }
@@ -483,9 +484,24 @@ fn evaluate_batch(
         DocContent::Tree(tree) => evaluate_tree_batch(ws, batch, tree),
         DocContent::Corpus(corpus) => batch
             .iter()
-            .map(|req| evaluate_corpus_request(req, corpus, corpus_threads))
+            .map(|req| evaluate_corpus_request(ws, req, corpus, corpus_threads))
             .collect(),
     }
+}
+
+/// One shared scan of `tree` for `queries` on the calling thread.
+fn scan_tree(
+    ws: &mut BatchWorkspace,
+    tree: &Tree,
+    queries: &[BatchQuery<'_>],
+    deadline: Deadline,
+) -> Option<crate::Output> {
+    let mut queue = TreeQueue::new(tree);
+    let plan = Plan {
+        deadline,
+        ..Plan::new(Source::Stream(&mut queue), queries)
+    };
+    execute(plan, ws).ok()
 }
 
 /// The tree path: one shared scan under the earliest member deadline;
@@ -500,7 +516,6 @@ fn evaluate_tree_batch(
         .map(|r| r.deadline_at)
         .min()
         .expect("batches are non-empty");
-    let deadline = Deadline::at(earliest);
     let queries: Vec<BatchQuery<'_>> = batch
         .iter()
         .map(|r| BatchQuery {
@@ -508,129 +523,86 @@ fn evaluate_tree_batch(
             k: r.k,
         })
         .collect();
-    let mut queue = TreeQueue::new(tree);
-    let shared = tasm_batch_deadline_with_workspace(
-        &queries,
-        &mut queue,
-        &UnitCost,
-        1,
-        TasmOptions::default(),
-        ws,
-        None,
-        &deadline,
-    );
-    match shared {
-        Ok(rankings) => {
-            let lanes = ws.last_lane_stats().to_vec();
-            rankings
-                .into_iter()
-                .zip(batch)
-                .enumerate()
-                .map(|(i, (ranking, req))| Response::Ranking {
-                    rows: rows(ranking),
+    if let Some(out) = scan_tree(ws, tree, &queries, Deadline::at(earliest)) {
+        return out
+            .rankings
+            .into_iter()
+            .zip(out.lanes)
+            .zip(batch)
+            .map(|((ranking, lane), req)| Response::Ranking {
+                rows: rows(ranking, None),
+                degraded: None,
+                stats: req.stats.then_some(WireStats {
+                    scan: lane,
+                    shards: None,
+                }),
+            })
+            .collect();
+    }
+    // The shared scan died at the earliest member's deadline. That
+    // member is out of time; the others still have budget, so each gets
+    // a solo retry under its own deadline.
+    batch
+        .iter()
+        .zip(&queries)
+        .map(|(req, query)| {
+            let timeout = Response::Timeout {
+                limit_ms: req.timeout_ms,
+            };
+            if Instant::now() >= req.deadline_at {
+                return timeout;
+            }
+            match scan_tree(
+                ws,
+                tree,
+                std::slice::from_ref(query),
+                Deadline::at(req.deadline_at),
+            ) {
+                Some(mut out) => Response::Ranking {
+                    rows: rows(out.rankings.swap_remove(0), None),
                     degraded: None,
-                    stats: req.stats.then(|| WireStats {
-                        scan: lanes[i],
+                    stats: req.stats.then_some(WireStats {
+                        scan: out.lanes[0],
                         shards: None,
                     }),
-                })
-                .collect()
-        }
-        Err(_) => {
-            // The shared scan died at the earliest member's deadline.
-            // That member is out of time; the others still have budget,
-            // so each gets a solo retry under its own deadline.
-            batch
-                .iter()
-                .map(|req| {
-                    if Instant::now() >= req.deadline_at {
-                        return Response::Timeout {
-                            limit_ms: req.timeout_ms,
-                        };
-                    }
-                    let solo = [BatchQuery {
-                        query: &req.query,
-                        k: req.k,
-                    }];
-                    let d = Deadline::at(req.deadline_at);
-                    let mut queue = TreeQueue::new(tree);
-                    match tasm_batch_deadline_with_workspace(
-                        &solo,
-                        &mut queue,
-                        &UnitCost,
-                        1,
-                        TasmOptions::default(),
-                        ws,
-                        None,
-                        &d,
-                    ) {
-                        Ok(mut rankings) => Response::Ranking {
-                            rows: rows(rankings.pop().expect("one lane")),
-                            degraded: None,
-                            stats: req.stats.then(|| WireStats {
-                                scan: ws.last_lane_stats()[0],
-                                shards: None,
-                            }),
-                        },
-                        Err(_) => Response::Timeout {
-                            limit_ms: req.timeout_ms,
-                        },
-                    }
-                })
-                .collect()
-        }
-    }
+                },
+                None => timeout,
+            }
+        })
+        .collect()
 }
 
 /// The corpus path: cross-document top-k over the healthy shards under
 /// the request's own deadline, with the degraded marker threaded into
 /// the `OK` line (and `STATS`, when requested).
 fn evaluate_corpus_request(
+    ws: &mut BatchWorkspace,
     req: &PendingRequest,
     corpus: &Arc<Corpus>,
     corpus_threads: usize,
 ) -> Response {
-    let deadline = Deadline::at(req.deadline_at);
     let queries = [BatchQuery {
         query: &req.query,
         k: req.k,
     }];
-    match tasm_corpus_batch_deadline_with_stats(
-        &queries,
-        &req.dict,
-        corpus,
-        &UnitCost,
-        1,
-        TasmOptions::default(),
-        corpus_threads,
-        None,
-        &deadline,
-    ) {
-        Ok(out) => {
-            let (status, scan) = (out.status, out.scan);
-            let mut rankings = out.rankings;
-            let ranking = rankings.pop().expect("one lane");
-            let rows = ranking
-                .into_iter()
-                .map(|cm| Row {
-                    root: cm.hit.root.post(),
-                    distance: cm.hit.distance,
-                    size: cm.hit.size,
-                    doc: Some(cm.doc),
-                })
-                .collect();
-            let health = (status.healthy, status.total);
-            Response::Ranking {
-                rows,
-                degraded: status.is_degraded().then_some(health),
-                stats: req.stats.then_some(WireStats {
-                    scan,
-                    shards: Some(health),
-                }),
-            }
-        }
-        Err(_) => Response::Timeout {
+    let plan = Plan {
+        threads: corpus_threads,
+        deadline: Deadline::at(req.deadline_at),
+        ..Plan::new(Source::corpus(corpus, &req.dict), &queries)
+    };
+    let Ok(mut out) = execute(plan, ws) else {
+        return Response::Timeout {
             limit_ms: req.timeout_ms,
-        },
+        };
+    };
+    let status = out.status.expect("a corpus plan reports its shard health");
+    let health = (status.healthy, status.total);
+    Response::Ranking {
+        rows: rows(out.rankings.swap_remove(0), Some(corpus)),
+        degraded: status.is_degraded().then_some(health),
+        stats: req.stats.then_some(WireStats {
+            scan: out.scan,
+            shards: Some(health),
+        }),
     }
 }

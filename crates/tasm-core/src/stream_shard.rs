@@ -1,12 +1,11 @@
-//! Streaming shard hand-off: parallel (and batch×parallel) TASM over a
-//! postorder **stream** — the document never resides in memory.
+//! Streaming shard hand-off: the multi-threaded stream arm of
+//! [`execute`](crate::execute) — batch×parallel TASM over a postorder
+//! **stream**, with the document never resident in memory.
 //!
-//! [`tasm_parallel`](crate::tasm_parallel) shards the candidate *spans*
-//! of a materialized tree, which costs `O(n)` memory for the tree
-//! itself. This module removes that requirement: one [`ScanEngine`]
-//! pass over the stream (the same `O(τ)` prefix ring buffer as the
-//! sequential path) derives the candidates, and instead of evaluating
-//! them inline it copies each candidate's postorder entries into a
+//! One [`ScanEngine`] pass over the stream (the same `O(τ)` prefix ring
+//! buffer as the sequential path) derives the candidates, and instead
+//! of evaluating them inline it copies each candidate's postorder
+//! entries into a
 //! **segment** — a flat `(label, size)` buffer holding a run of
 //! complete candidate subtrees plus their document root numbers — and
 //! hands full segments to worker threads over a bounded pipe.
@@ -14,8 +13,8 @@
 //! Each worker replays its segments' candidates into a scratch tree
 //! (subtree sizes are invariant under renumbering, so the entries are
 //! the candidate's local postorder as-is) and fans every candidate out
-//! to N per-query evaluation lanes, exactly as the batch and
-//! span-sharded paths do. Per-lane heaps merge with
+//! to N per-query evaluation lanes, exactly as the shared scan and the
+//! index driver do. Per-lane heaps merge with
 //! [`TopKHeap::merge`](crate::TopKHeap::merge); the rank key is a total
 //! order, so the rankings are **identical** to the sequential ones no
 //! matter how candidates land on workers (pinned by
@@ -44,77 +43,16 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use crate::batch::{tasm_batch_deadline_with_workspace, BatchQuery, BatchWorkspace};
+use crate::batch::BatchQuery;
 use crate::engine::{CandidateSink, ScanEngine, ScanStats};
-use crate::lane::{build_lanes, fan_out, reserve_lanes, scan_tau_of};
-use crate::parallel::{merge_shard_results, resolve_threads, ShardResult};
-use crate::ranking::Match;
-use crate::server::deadline::{Deadline, DeadlineExceeded};
+use crate::exec::{ExecError, StreamIntegrityError};
+use crate::lane::{build_lanes, fan_out, merge_shard_results, reserve_lanes, scan_tau_of};
+use crate::lane::{Ranked, ShardResult};
+use crate::server::deadline::Deadline;
 use crate::tasm_dynamic::TasmOptions;
 use crate::workspace::scratch_fits_cap;
 use tasm_ted::{CascadeScratch, CostModel, TedStats, TedWorkspace};
 use tasm_tree::{LabelId, NodeId, PostorderEntry, PostorderQueue, Tree};
-
-/// The postorder stream ended abnormally: the scan consumed the whole
-/// queue, but the queue reports the document is incomplete (truncated
-/// `.pq`/`.pqi` file, malformed XML, an I/O error mid-stream, …).
-///
-/// The streaming entry points refuse to return a ranking built from a
-/// partial document — silently accepting one would report top-k answers
-/// that may miss better subtrees in the lost suffix. The message comes
-/// from [`PostorderQueue::integrity_error`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamIntegrityError(String);
-
-impl StreamIntegrityError {
-    /// The queue's description of the abnormal end.
-    pub fn message(&self) -> &str {
-        &self.0
-    }
-}
-
-impl std::fmt::Display for StreamIntegrityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "incomplete document stream: {}", self.0)
-    }
-}
-
-impl std::error::Error for StreamIntegrityError {}
-
-/// Failure of a deadline-aware streaming scan: either the stream ended
-/// abnormally ([`StreamIntegrityError`]) or the request's cooperative
-/// [`Deadline`] expired mid-pass ([`DeadlineExceeded`]). Both refuse to
-/// return a partial ranking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamScanError {
-    /// The postorder stream ended abnormally.
-    Integrity(StreamIntegrityError),
-    /// The request's deadline expired before the scan completed.
-    Deadline(DeadlineExceeded),
-}
-
-impl std::fmt::Display for StreamScanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamScanError::Integrity(e) => e.fmt(f),
-            StreamScanError::Deadline(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for StreamScanError {}
-
-impl From<StreamIntegrityError> for StreamScanError {
-    fn from(e: StreamIntegrityError) -> Self {
-        StreamScanError::Integrity(e)
-    }
-}
-
-impl From<DeadlineExceeded> for StreamScanError {
-    fn from(e: DeadlineExceeded) -> Self {
-        StreamScanError::Deadline(e)
-    }
-}
 
 /// Locks `mutex`, recovering the guard if a peer poisoned it while
 /// unwinding: the pipe's abort flag — not poisoning — is the signal
@@ -381,162 +319,26 @@ fn stream_worker(
     }
 }
 
-/// Batch×parallel composition over a postorder **stream**: answers
-/// every query of `queries` across `threads` worker threads in one
-/// pass of `queue`, without ever materializing the document.
+/// Answers every query of `queries` across `threads >= 2` worker
+/// threads in one pass of `queue`, without materializing the document.
 ///
 /// The calling thread runs the `O(τ_scan)` ring-buffer scan and hands
 /// candidate segments to the workers through a bounded, recycling pipe
-/// (see the [module docs](self) for the memory bound). Every ranking is
-/// **exactly** what the sequential
-/// [`tasm_postorder`](crate::tasm_postorder) returns for that query
-/// alone, for any `threads` (`0` = one per available core; `<= 1`
-/// falls back to the shared-scan [`tasm_batch`](crate::tasm_batch)
-/// without spawning threads). `c_t` is the maximum document node cost
-/// under `model`, as for the sequential entry points.
-///
-/// # Errors
-///
-/// [`StreamIntegrityError`] if the queue reports an abnormal end after
-/// the scan drained it (truncated postorder file, malformed XML, …):
-/// a ranking over a partial document could silently miss better
-/// subtrees, so none is returned.
-///
-/// # Examples
-///
-/// ```
-/// use tasm_tree::{bracket, LabelDict, TreeQueue};
-/// use tasm_ted::UnitCost;
-/// use tasm_core::{tasm_batch_parallel_stream, BatchQuery, TasmOptions};
-///
-/// let mut dict = LabelDict::new();
-/// let q1 = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
-/// let q2 = bracket::parse("{a{b}}", &mut dict).unwrap();
-/// let doc = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
-/// let queries = [
-///     BatchQuery { query: &q1, k: 1 },
-///     BatchQuery { query: &q2, k: 1 },
-/// ];
-/// // Any postorder queue works — an XML stream included.
-/// let mut queue = TreeQueue::new(&doc);
-/// let rankings = tasm_batch_parallel_stream(
-///     &queries, &mut queue, &UnitCost, 1, TasmOptions::default(), 2, None).unwrap();
-/// assert_eq!(rankings[0][0].root.post(), 6); // exact match for q1
-/// ```
-pub fn tasm_batch_parallel_stream<Q: PostorderQueue + ?Sized>(
-    queries: &[BatchQuery<'_>],
-    queue: &mut Q,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> Result<Vec<Vec<Match>>, StreamIntegrityError> {
-    tasm_batch_parallel_stream_with_stats(queries, queue, model, c_t, opts, threads, stats)
-        .map(|out| out.0)
-}
-
-/// Successful output of the stats-reporting batch streaming entry
-/// points: per-query rankings, the aggregated [`ScanStats`] (one scan;
-/// funnel summed over all lanes), and the per-lane statistics in query
-/// order.
-pub type BatchStreamOutput = (Vec<Vec<Match>>, ScanStats, Vec<ScanStats>);
-
-/// As [`tasm_batch_parallel_stream`], but also returning the aggregated
-/// [`ScanStats`] (one scan; funnel summed over all lanes) and the
-/// per-lane statistics in query order.
-pub fn tasm_batch_parallel_stream_with_stats<Q: PostorderQueue + ?Sized>(
-    queries: &[BatchQuery<'_>],
-    queue: &mut Q,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> Result<BatchStreamOutput, StreamIntegrityError> {
-    let mut ws = BatchWorkspace::new();
-    tasm_batch_parallel_stream_with_workspace(
-        queries, queue, model, c_t, opts, threads, &mut ws, stats,
-    )
-}
-
-/// As [`tasm_batch_parallel_stream_with_stats`], but reusing the
-/// caller's [`BatchWorkspace`] for the single-threaded fallback: when
-/// `threads` resolves to `<= 1` the scan runs through the shared-scan
-/// batch path with the caller's warm buffers, preserving the
-/// O(#queries)-allocations-per-scan reuse contract. The sharded path
-/// leaves `ws` untouched — each worker owns its state by design.
+/// (see the [module docs](self) for the memory bound); only that thread
+/// polls `deadline`. On expiry the workers drain the already-published
+/// segments and exit, and their partial heaps are discarded. A worker's
+/// panic reaches the caller with its original payload.
 #[allow(clippy::too_many_arguments)]
-pub fn tasm_batch_parallel_stream_with_workspace<Q: PostorderQueue + ?Sized>(
+pub(crate) fn sharded_stream<Q: PostorderQueue + ?Sized>(
     queries: &[BatchQuery<'_>],
     queue: &mut Q,
     model: &(dyn CostModel + Sync),
     c_t: u64,
     opts: TasmOptions,
     threads: usize,
-    ws: &mut BatchWorkspace,
-    stats: Option<&mut TedStats>,
-) -> Result<BatchStreamOutput, StreamIntegrityError> {
-    match tasm_batch_parallel_stream_deadline_with_workspace(
-        queries,
-        queue,
-        model,
-        c_t,
-        opts,
-        threads,
-        ws,
-        stats,
-        &Deadline::none(),
-    ) {
-        Ok(out) => Ok(out),
-        Err(StreamScanError::Integrity(e)) => Err(e),
-        Err(StreamScanError::Deadline(_)) => unreachable!("Deadline::none() never expires"),
-    }
-}
-
-/// As [`tasm_batch_parallel_stream_with_workspace`], but cooperatively
-/// cancellable: the producer — the one thread running the unbounded
-/// per-candidate scan loop — polls `deadline` and aborts the whole pass
-/// when it expires. Workers drain the already-published segments and
-/// exit; their partial heaps are discarded.
-///
-/// # Errors
-///
-/// [`StreamScanError::Deadline`] if the deadline expires mid-scan,
-/// [`StreamScanError::Integrity`] if the stream ends abnormally. In
-/// both cases no partial rankings are returned.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_batch_parallel_stream_deadline_with_workspace<Q: PostorderQueue + ?Sized>(
-    queries: &[BatchQuery<'_>],
-    queue: &mut Q,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    ws: &mut BatchWorkspace,
     stats: Option<&mut TedStats>,
     deadline: &Deadline,
-) -> Result<BatchStreamOutput, StreamScanError> {
-    if queries.is_empty() {
-        return Ok((Vec::new(), ScanStats::default(), Vec::new()));
-    }
-    let threads = resolve_threads(threads);
-    if threads <= 1 {
-        // One worker would only add hand-off copies: the shared-scan
-        // batch path is the same streaming work inline.
-        let rankings = tasm_batch_deadline_with_workspace(
-            queries, queue, model, c_t, opts, ws, stats, deadline,
-        )?;
-        if let Some(msg) = queue.integrity_error() {
-            return Err(StreamIntegrityError(msg).into());
-        }
-        return Ok((
-            rankings,
-            ws.last_scan_stats(),
-            ws.last_lane_stats().to_vec(),
-        ));
-    }
-
+) -> Result<Ranked, ExecError> {
     // The scan must cover the widest lane threshold; the workers build
     // their own lanes, so only the thresholds are computed here.
     let scan_tau = scan_tau_of(queries, model, c_t);
@@ -651,75 +453,11 @@ pub fn tasm_batch_parallel_stream_deadline_with_workspace<Q: PostorderQueue + ?S
     Ok((rankings, aggregate, lane_stats))
 }
 
-/// Computes the top-`k` ranking of `query` against a postorder
-/// **stream**, sharding candidate evaluation across `threads` worker
-/// threads — the streaming counterpart of
-/// [`tasm_parallel`](crate::tasm_parallel), with no materialized
-/// document and `O(threads · τ + m²)` memory.
-///
-/// Returns **exactly** the sequential
-/// [`tasm_postorder`](crate::tasm_postorder) ranking for any `threads`
-/// (`0` = one per available core).
-///
-/// # Errors
-///
-/// [`StreamIntegrityError`] if the queue ends abnormally (truncated
-/// file, malformed XML, …) — see [`tasm_batch_parallel_stream`].
-///
-/// # Examples
-///
-/// ```
-/// use tasm_tree::{bracket, LabelDict, TreeQueue};
-/// use tasm_ted::UnitCost;
-/// use tasm_core::{tasm_parallel_stream, TasmOptions};
-///
-/// let mut dict = LabelDict::new();
-/// let g = bracket::parse("{a{b}{c}}", &mut dict).unwrap();
-/// let h = bracket::parse("{x{a{b}{d}}{a{b}{c}}}", &mut dict).unwrap();
-/// let mut queue = TreeQueue::new(&h);
-/// let top2 =
-///     tasm_parallel_stream(&g, &mut queue, 2, &UnitCost, 1, TasmOptions::default(), 2).unwrap();
-/// assert_eq!(top2[0].root.post(), 6);
-/// assert_eq!(top2[1].root.post(), 3);
-/// ```
-pub fn tasm_parallel_stream<Q: PostorderQueue + ?Sized>(
-    query: &Tree,
-    queue: &mut Q,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-) -> Result<Vec<Match>, StreamIntegrityError> {
-    tasm_parallel_stream_with_stats(query, queue, k, model, c_t, opts, threads, None)
-        .map(|out| out.0)
-}
-
-/// As [`tasm_parallel_stream`], but also returning the pass's
-/// [`ScanStats`] and, if `stats` is given, merging every worker's
-/// [`TedStats`] into it.
-#[allow(clippy::too_many_arguments)]
-pub fn tasm_parallel_stream_with_stats<Q: PostorderQueue + ?Sized>(
-    query: &Tree,
-    queue: &mut Q,
-    k: usize,
-    model: &(dyn CostModel + Sync),
-    c_t: u64,
-    opts: TasmOptions,
-    threads: usize,
-    stats: Option<&mut TedStats>,
-) -> Result<(Vec<Match>, ScanStats), StreamIntegrityError> {
-    let queries = [BatchQuery { query, k }];
-    let (mut rankings, scan, _) =
-        tasm_batch_parallel_stream_with_stats(&queries, queue, model, c_t, opts, threads, stats)?;
-    Ok((rankings.pop().expect("one lane"), scan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tasm_postorder::tasm_postorder;
-    use tasm_ted::UnitCost;
+    use crate::exec::{execute, Plan, Source};
+    use crate::BatchWorkspace;
     use tasm_tree::{bracket, LabelDict, TreeQueue};
 
     fn wide_doc(dict: &mut LabelDict, records: usize) -> Tree {
@@ -733,129 +471,6 @@ mod tests {
         }
         s.push('}');
         bracket::parse(&s, dict).unwrap()
-    }
-
-    #[test]
-    fn stream_parallel_equals_sequential() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 80);
-        let query = bracket::parse("{article{a}{t}}", &mut dict).unwrap();
-        let opts = TasmOptions {
-            keep_trees: true,
-            ..Default::default()
-        };
-        for k in [1usize, 3, 10] {
-            let mut q = TreeQueue::new(&doc);
-            let want = tasm_postorder(&query, &mut q, k, &UnitCost, 1, opts, None);
-            for threads in [1usize, 2, 3, 4, 7] {
-                let mut q = TreeQueue::new(&doc);
-                let got =
-                    tasm_parallel_stream(&query, &mut q, k, &UnitCost, 1, opts, threads).unwrap();
-                assert_eq!(got, want, "k = {k}, threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn stream_batch_parallel_matches_per_query_sequential() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 60);
-        let q1 = bracket::parse("{article{a}{t}}", &mut dict).unwrap();
-        let q2 = bracket::parse("{book{t}}", &mut dict).unwrap();
-        let q3 = bracket::parse("{y}", &mut dict).unwrap();
-        let queries = [
-            BatchQuery { query: &q1, k: 4 },
-            BatchQuery { query: &q2, k: 1 },
-            BatchQuery { query: &q3, k: 9 },
-        ];
-        let opts = TasmOptions::default();
-        for threads in [2usize, 4, 7] {
-            let mut q = TreeQueue::new(&doc);
-            let (rankings, agg, lanes) = tasm_batch_parallel_stream_with_stats(
-                &queries, &mut q, &UnitCost, 1, opts, threads, None,
-            )
-            .unwrap();
-            assert_eq!(rankings.len(), 3);
-            assert_eq!(lanes.len(), 3);
-            assert_eq!(agg.nodes_seen as usize, doc.len());
-            for (bq, got) in queries.iter().zip(&rankings) {
-                let mut q = TreeQueue::new(&doc);
-                let want = tasm_postorder(bq.query, &mut q, bq.k, &UnitCost, 1, opts, None);
-                assert_eq!(got, &want, "threads = {threads}");
-            }
-            // Per-lane funnels sum to the aggregate funnel.
-            let funnel_sum: u64 = lanes.iter().map(|l| l.evaluated).sum();
-            assert_eq!(funnel_sum, agg.evaluated);
-            for lane in &lanes {
-                assert_eq!(lane.candidates, agg.candidates);
-            }
-        }
-    }
-
-    #[test]
-    fn stream_stats_merge_ted_stats() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 40);
-        let query = bracket::parse("{book{t}}", &mut dict).unwrap();
-        let mut ted = TedStats::new();
-        let mut q = TreeQueue::new(&doc);
-        let (m, scan) = tasm_parallel_stream_with_stats(
-            &query,
-            &mut q,
-            2,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            3,
-            Some(&mut ted),
-        )
-        .unwrap();
-        assert_eq!(m.len(), 2);
-        assert!(scan.candidates > 0);
-        assert!(ted.ted_calls > 0);
-    }
-
-    #[test]
-    fn zero_and_one_threads_match_sequential() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 20);
-        let query = bracket::parse("{book{t}}", &mut dict).unwrap();
-        let mut q = TreeQueue::new(&doc);
-        let want = tasm_postorder(
-            &query,
-            &mut q,
-            2,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            None,
-        );
-        for threads in [0usize, 1] {
-            let mut q = TreeQueue::new(&doc);
-            let got = tasm_parallel_stream(
-                &query,
-                &mut q,
-                2,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-            )
-            .unwrap();
-            assert_eq!(got, want, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn single_node_stream_works() {
-        let mut dict = LabelDict::new();
-        let doc = bracket::parse("{a}", &mut dict).unwrap();
-        let query = bracket::parse("{a}", &mut dict).unwrap();
-        let mut q = TreeQueue::new(&doc);
-        let got = tasm_parallel_stream(&query, &mut q, 1, &UnitCost, 1, TasmOptions::default(), 4)
-            .unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].distance, tasm_ted::Cost::ZERO);
     }
 
     #[test]
@@ -875,84 +490,16 @@ mod tests {
         }
         let mut dict = LabelDict::new();
         let query = bracket::parse("{a}", &mut dict).unwrap();
-        let _ = tasm_parallel_stream(
-            &query,
-            &mut PanicQueue(0),
-            1,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            4,
-        );
-    }
-
-    #[test]
-    fn empty_query_list_consumes_nothing() {
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 5);
-        let mut q = TreeQueue::new(&doc);
-        let out =
-            tasm_batch_parallel_stream(&[], &mut q, &UnitCost, 1, TasmOptions::default(), 4, None)
-                .unwrap();
-        assert!(out.is_empty());
-        assert!(q.dequeue().is_some(), "queue untouched");
-    }
-
-    /// A queue that serves a fixed prefix of a larger document, then
-    /// reports the difference as an integrity error — the in-memory
-    /// analogue of a truncated `.pq` file.
-    struct TruncatedQueue {
-        entries: Vec<PostorderEntry>,
-        next: usize,
-        missing: usize,
-    }
-
-    impl PostorderQueue for TruncatedQueue {
-        fn dequeue(&mut self) -> Option<PostorderEntry> {
-            let e = self.entries.get(self.next).copied();
-            self.next += e.is_some() as usize;
-            e
-        }
-
-        fn integrity_error(&self) -> Option<String> {
-            (self.next >= self.entries.len() && self.missing > 0)
-                .then(|| format!("postorder file truncated: {} nodes missing", self.missing))
-        }
-    }
-
-    #[test]
-    fn truncated_stream_is_an_error_not_a_partial_ranking() {
-        // Before the fix, both paths happily ranked whatever prefix the
-        // queue produced — a truncated corpus file went unnoticed.
-        let mut dict = LabelDict::new();
-        let doc = wide_doc(&mut dict, 30);
-        let query = bracket::parse("{article{a}{t}}", &mut dict).unwrap();
-        let cut = doc.len() / 2; // leaves a valid forest prefix
-        for threads in [1usize, 4] {
-            let mut q = TruncatedQueue {
-                entries: doc
-                    .postorder()
-                    .take(cut)
-                    .map(|(l, s)| PostorderEntry::new(l, s))
-                    .collect(),
-                next: 0,
-                missing: doc.len() - cut,
-            };
-            let err = tasm_parallel_stream(
-                &query,
-                &mut q,
-                3,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-            )
-            .unwrap_err();
-            assert!(
-                err.to_string().contains("truncated"),
-                "threads = {threads}: {err}"
-            );
-        }
+        let queries = [BatchQuery {
+            query: &query,
+            k: 1,
+        }];
+        let mut queue = PanicQueue(0);
+        let plan = Plan {
+            threads: 4,
+            ..Plan::new(Source::Stream(&mut queue), &queries)
+        };
+        let _ = execute(plan, &mut BatchWorkspace::new());
     }
 
     #[test]
@@ -976,9 +523,18 @@ mod tests {
         let doc = wide_doc(&mut dict, 50);
         let query = bracket::parse("{article{a}{t}}", &mut dict).unwrap();
         let boom = BoomCost(dict.get("book").unwrap());
+        let queries = [BatchQuery {
+            query: &query,
+            k: 2,
+        }];
         let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut q = TreeQueue::new(&doc);
-            let _ = tasm_parallel_stream(&query, &mut q, 2, &boom, 1, TasmOptions::default(), 4);
+            let plan = Plan {
+                cost: (&boom, 1),
+                threads: 4,
+                ..Plan::new(Source::Stream(&mut q), &queries)
+            };
+            let _ = execute(plan, &mut BatchWorkspace::new());
         }))
         .unwrap_err();
         let msg = payload

@@ -154,6 +154,7 @@ pub(crate) fn rank_subtrees_into(
     for j in doc.nodes() {
         let distance: Cost = row[j.post() as usize];
         heap.offer(Match {
+            shard: 0,
             root: NodeId::new(doc_post_offset + j.post()),
             size: doc.size(j),
             distance,

@@ -1,20 +1,22 @@
-//! Differential tests pinning the corpus query path to its reference
-//! semantics: `tasm_corpus` over N shards must return exactly the
-//! concatenation of per-document `tasm_indexed` runs, sorted on the
-//! corpus rank key `(distance, shard, postorder, size)` and truncated
-//! to `k` — under every combination of thread count, pruning cascade,
-//! and TED kernel, and with shards quarantined mid-corpus.
+//! The differential matrix of the corpus source: a corpus plan over N
+//! shards must return exactly the concatenation of per-shard
+//! `tasm_naive` rankings, sorted on the rank key `(distance, shard,
+//! postorder, size)` and truncated to `k` — for every thread count,
+//! cascade setting and TED kernel, over a healthy corpus and a degraded
+//! one (shards quarantined mid-corpus).
 //!
-//! The reference is computed ONCE with default options: distances are
+//! The oracle is computed ONCE per corpus: distances are
 //! kernel-independent and the rank key is a total order, so every axis
 //! combination must reproduce the identical ranking, byte for byte.
+//! Weighted costs are covered by `differential.rs` only: a label-keyed
+//! model is defined over one label space, and every shard has its own.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use tasm_core::{
-    tasm_corpus_batch, tasm_corpus_batch_with_stats, tasm_indexed, BatchQuery, CorpusMatch,
-    ScanStats, TasmOptions, TedKernel,
+    execute, tasm_naive, BatchQuery, BatchWorkspace, Match, Output, Plan, ScanStats, Source,
+    TasmOptions, TedKernel,
 };
 use tasm_index::Corpus;
 use tasm_ted::UnitCost;
@@ -74,44 +76,48 @@ fn build_corpus(dir: &Path, n_labels: u32) -> Corpus {
 }
 
 /// Comparable projection of a corpus ranking.
-fn key(ms: &[CorpusMatch]) -> Vec<(String, u32, u64, u32)> {
+fn key(ms: &[Match]) -> Vec<(u32, u32, u64, u32)> {
     ms.iter()
-        .map(|m| {
-            (
-                m.doc.clone(),
-                m.hit.root.post(),
-                m.hit.distance.halves(),
-                m.hit.size,
-            )
-        })
+        .map(|m| (m.shard, m.root.post(), m.distance.halves(), m.size))
         .collect()
 }
 
-/// Per-document `tasm_indexed` runs over the healthy shards, merged on
-/// the corpus rank key — the semantics every axis must reproduce.
-fn reference(
-    corpus: &Corpus,
-    queries: &[&Tree],
-    qdict: &LabelDict,
-    k: usize,
-) -> Vec<Vec<CorpusMatch>> {
+/// Per-shard `tasm_naive` runs over the healthy shards (each query
+/// re-encoded into the shard's label space), merged on the rank key —
+/// the semantics every axis must reproduce.
+fn reference(corpus: &Corpus, queries: &[&Tree], qdict: &LabelDict, k: usize) -> Vec<Vec<Match>> {
     queries
         .iter()
         .map(|q| {
-            let mut lane: Vec<CorpusMatch> = Vec::new();
-            for (shard, name, doc) in corpus.healthy() {
-                let hits = tasm_indexed(q, qdict, doc, k, &UnitCost, 1, TasmOptions::default(), 1);
-                lane.extend(hits.into_iter().map(|hit| CorpusMatch {
-                    doc: name.to_string(),
-                    shard,
-                    hit,
-                }));
+            let mut lane: Vec<Match> = Vec::new();
+            for (shard, _, doc) in corpus.healthy() {
+                let (encoded, _) = doc.encode_query(q, qdict);
+                let opts = TasmOptions::default();
+                let hits = tasm_naive(&encoded, doc.tree(), k, &UnitCost, opts, None);
+                let shard = shard as u32;
+                lane.extend(hits.into_iter().map(|m| Match { shard, ..m }));
             }
-            lane.sort_by_key(|m| (m.hit.distance, m.shard, m.hit.root.post(), m.hit.size));
+            lane.sort_by_key(|m| (m.distance, m.shard, m.root.post(), m.size));
             lane.truncate(k);
             lane
         })
         .collect()
+}
+
+/// One corpus plan.
+fn run(
+    corpus: &Corpus,
+    qdict: &LabelDict,
+    bqs: &[BatchQuery<'_>],
+    opts: TasmOptions,
+    threads: usize,
+) -> Output {
+    let plan = Plan {
+        opts,
+        threads,
+        ..Plan::new(Source::corpus(corpus, qdict), bqs)
+    };
+    execute(plan, &mut BatchWorkspace::new()).expect("no deadline")
 }
 
 /// Runs the full axis matrix against `corpus` and compares every combo
@@ -140,11 +146,11 @@ fn assert_matrix(corpus: &Corpus, tag: &str) {
                     kernel,
                     ..Default::default()
                 };
-                let (got, status) =
-                    tasm_corpus_batch(&bqs, &qdict, corpus, &UnitCost, 1, opts, threads);
+                let out = run(corpus, &qdict, &bqs, opts, threads);
+                let status = out.status.expect("corpus status");
                 assert_eq!(status.total, corpus.total_shards());
                 assert_eq!(status.healthy, corpus.healthy_count());
-                for (lane, (got_lane, want_lane)) in got.iter().zip(&want).enumerate() {
+                for (lane, (got_lane, want_lane)) in out.rankings.iter().zip(&want).enumerate() {
                     assert_eq!(
                         &key(got_lane),
                         want_lane,
@@ -181,16 +187,14 @@ fn assert_scheduled_stats(corpus: &Corpus, tag: &str) {
         .map(|query| BatchQuery { query, k })
         .collect();
     let opts = TasmOptions::default();
-    let sequential =
-        tasm_corpus_batch_with_stats(&bqs, &qdict, corpus, &UnitCost, 1, opts, 1, None);
+    let sequential = run(corpus, &qdict, &bqs, opts, 1);
     let healthy_shards: Vec<usize> = corpus.healthy().map(|(i, _, _)| i).collect();
     let healthy_names: Vec<String> = corpus
         .healthy()
         .map(|(_, name, _)| name.to_string())
         .collect();
     for threads in [2usize, 4, 7] {
-        let scheduled =
-            tasm_corpus_batch_with_stats(&bqs, &qdict, corpus, &UnitCost, 1, opts, threads, None);
+        let scheduled = run(corpus, &qdict, &bqs, opts, threads);
         for (lane, (got, want)) in scheduled
             .rankings
             .iter()
@@ -212,21 +216,17 @@ fn assert_scheduled_stats(corpus: &Corpus, tag: &str) {
         let workers = threads.min(healthy_shards.len());
         if threads / workers <= 1 {
             assert_eq!(scheduled.scan, sequential.scan, "{tag}: threads={threads}");
-            assert_eq!(scheduled.lane_scans, sequential.lane_scans);
+            assert_eq!(scheduled.lanes, sequential.lanes);
         }
         assert_eq!(scheduled.scan.candidates, sequential.scan.candidates);
         // Per-shard stats: exactly the healthy shards, manifest order,
         // funnels summing to the merged funnel.
-        let shards: Vec<usize> = scheduled.shard_stats.iter().map(|s| s.shard).collect();
+        let shards: Vec<usize> = scheduled.shards.iter().map(|s| s.shard).collect();
         assert_eq!(shards, healthy_shards, "{tag}: threads={threads}");
-        let names: Vec<String> = scheduled
-            .shard_stats
-            .iter()
-            .map(|s| s.name.clone())
-            .collect();
+        let names: Vec<String> = scheduled.shards.iter().map(|s| s.name.clone()).collect();
         assert_eq!(names, healthy_names);
         let mut summed = ScanStats::default();
-        for s in &scheduled.shard_stats {
+        for s in &scheduled.shards {
             summed.merge(&s.scan);
         }
         assert_eq!(summed, scheduled.scan, "{tag}: threads={threads}");

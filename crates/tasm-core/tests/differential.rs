@@ -1,27 +1,28 @@
-//! The differential matrix: **one** generator, every algorithm variant,
-//! exact ranking equality down to subtree ids.
+//! The differential matrix: **one** loop over the plan axes, every run
+//! pinned to the `tasm_naive` oracle down to subtree ids.
 //!
-//! Five algorithms now claim identical rankings — naive, dynamic,
-//! postorder, batch and parallel — across two document
-//! representations (materialized tree vs postorder stream), any thread
-//! count and with the pruning cascade on or off. Instead of scattered
-//! pairwise proptests, this harness pins the whole matrix against a
-//! single oracle (`tasm_naive`):
+//! Every evaluation beyond the paper's reference algorithms goes through
+//! `execute(plan)`, so the matrix is the cross product of the plan's
+//! axes, plus the paper's reproductions under the same settings:
 //!
 //! ```text
-//! {naive, dynamic, postorder, batch, parallel, batch×parallel}
-//!   × {materialized Tree, streaming postorder queue}
+//! source ∈ {materialized tree, postorder stream, .pqi index}
 //!   × threads ∈ {1, 2, 4, 7}
 //!   × cascade ∈ {on, off}
 //!   × kernel ∈ {zs, strategy, auto}
+//!   × cost ∈ {unit, per-label weighted}
+//!   (+ tasm_dynamic and tasm_postorder per kernel × cascade × cost)
 //! ```
 //!
+//! The corpus source (with its degraded-corpus axis) has its own file,
+//! `corpus_differential.rs`. A new source gets full coverage by adding
+//! one arm to [`Src`].
+//!
 //! Equality is on `(root id, distance, size)` — not just the distance
-//! sequence — so tie-breaking must agree everywhere too. A second
-//! matrix covers multi-query batches per lane, and an end-to-end case
-//! feeds the sharded scans from a real `XmlPostorderQueue` with **no**
-//! materialized document (the acceptance criterion of the streaming
-//! shard hand-off).
+//! sequence — so tie-breaking must agree everywhere too. Every case is
+//! a batch; a single query is a batch of one. An end-to-end case feeds
+//! the executor from a real `XmlPostorderQueue` with **no** materialized
+//! document.
 //!
 //! The seeded variant (`differential_matrix_seeded`) re-runs the matrix
 //! on a deterministic seed sweep; CI shifts the sweep with the
@@ -30,21 +31,37 @@
 
 use proptest::prelude::*;
 use tasm_core::{
-    tasm_batch, tasm_batch_parallel, tasm_batch_parallel_stream, tasm_dynamic, tasm_indexed,
-    tasm_indexed_batch, tasm_naive, tasm_parallel, tasm_parallel_stream, tasm_postorder,
-    BatchQuery, Match, TasmOptions, TedKernel,
+    execute, tasm_dynamic, tasm_naive, tasm_postorder, BatchQuery, BatchWorkspace, Match, Plan,
+    Source, TasmOptions, TedKernel,
 };
 use tasm_index::IndexedDocument;
-use tasm_ted::UnitCost;
+use tasm_ted::{CostModel, PerLabelCost, UnitCost};
 use tasm_tree::{LabelDict, LabelId, Tree, TreeBuilder, TreeQueue, VecQueue};
 
-/// Thread counts of the parallel axes.
+/// Thread counts of the parallel axis.
 const THREADS: [usize; 4] = [1, 2, 4, 7];
 
 /// The TED-kernel axis: the classic left-path DP, the mirrored
 /// right-path kernel, and the per-query shape estimator. All three must
 /// return identical rankings everywhere.
 const KERNELS: [TedKernel; 3] = [TedKernel::Zs, TedKernel::Strategy, TedKernel::Auto];
+
+/// The source axis of a single-document plan.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    /// A materialized tree behind a `TreeQueue`.
+    Tree,
+    /// A postorder stream that hides the tree (`VecQueue`).
+    Stream,
+    /// The `.pqi` index, after an on-disk format round trip.
+    Index,
+}
+
+const SOURCES: [Src; 3] = [Src::Tree, Src::Stream, Src::Index];
+
+/// Per-label weights of the weighted-cost axis: label `Li` costs
+/// `WEIGHTS[i]`, every other label 1.
+const WEIGHTS: [u64; 4] = [2, 3, 1, 5];
 
 /// Builds a uniformly-shaped random tree of exactly `n` nodes by random
 /// attachment (node `i` picks a uniformly random existing parent), over
@@ -71,12 +88,6 @@ fn random_tree(seed: u64, n: usize, n_labels: u32) -> Tree {
     let mut b = TreeBuilder::with_capacity(n);
     rec(0, &children, &labels, &mut b);
     b.finish().expect("single root")
-}
-
-/// A streaming view of `doc` that hides the materialized tree: the
-/// algorithms under test only ever see a postorder queue.
-fn stream(doc: &Tree) -> VecQueue {
-    VecQueue::from_tree(doc)
 }
 
 /// The full rank key — id, distance AND size must agree.
@@ -111,161 +122,143 @@ fn index_of(doc: &Tree, q_labels: &[LabelId]) -> (IndexedDocument, LabelDict) {
     (idx, dict)
 }
 
-/// Runs every single-query variant of the matrix against the oracle.
-fn check_single_query_matrix(q: &Tree, doc: &Tree, k: usize) -> Result<(), String> {
-    let oracle = key(&tasm_naive(
-        q,
-        doc,
-        k,
-        &UnitCost,
-        TasmOptions::default(),
-        None,
-    ));
-    let check = |name: String, got: Vec<Match>| -> Result<(), String> {
-        let got = key(&got);
-        if got != oracle {
-            return Err(format!("{name}: {got:?} != oracle {oracle:?}"));
-        }
-        Ok(())
-    };
-    let (idx, dict) = index_of(doc, q.labels());
-    for (kernel, cascade) in KERNELS.into_iter().flat_map(|kr| [(kr, true), (kr, false)]) {
-        let opts = TasmOptions {
-            use_cascade: cascade,
-            kernel,
-            ..Default::default()
-        };
-        let tag = format!(
-            "{kernel}/{}",
-            if cascade { "cascade-on" } else { "cascade-off" }
-        );
-
-        check(
-            format!("dynamic/{tag}"),
-            tasm_dynamic(q, doc, k, &UnitCost, opts, None),
-        )?;
-        check(
-            format!("postorder/materialized/{tag}"),
-            tasm_postorder(q, &mut TreeQueue::new(doc), k, &UnitCost, 1, opts, None),
-        )?;
-        check(
-            format!("postorder/streaming/{tag}"),
-            tasm_postorder(q, &mut stream(doc), k, &UnitCost, 1, opts, None),
-        )?;
-        let bq = [BatchQuery { query: q, k }];
-        check(
-            format!("batch/materialized/{tag}"),
-            tasm_batch(&bq, &mut TreeQueue::new(doc), &UnitCost, 1, opts, None).remove(0),
-        )?;
-        check(
-            format!("batch/streaming/{tag}"),
-            tasm_batch(&bq, &mut stream(doc), &UnitCost, 1, opts, None).remove(0),
-        )?;
-        for threads in THREADS {
-            check(
-                format!("parallel/materialized/t{threads}/{tag}"),
-                tasm_parallel(q, doc, k, &UnitCost, 1, opts, threads),
-            )?;
-            check(
-                format!("parallel/streaming/t{threads}/{tag}"),
-                tasm_parallel_stream(q, &mut stream(doc), k, &UnitCost, 1, opts, threads)
-                    .expect("complete stream"),
-            )?;
-            check(
-                format!("indexed/t{threads}/{tag}"),
-                tasm_indexed(q, &dict, &idx, k, &UnitCost, 1, opts, threads),
-            )?;
+/// The weighted model in the label space `id_of` maps label names into.
+fn weighted(id_of: impl Fn(usize) -> Option<LabelId>) -> PerLabelCost {
+    let mut model = PerLabelCost::new(1);
+    for (i, w) in WEIGHTS.into_iter().enumerate() {
+        if let Some(id) = id_of(i) {
+            model = model.with(id, w);
         }
     }
-    Ok(())
+    model
 }
 
-/// Runs the multi-query variants: every batch composition must return,
-/// per lane, exactly the sequential ranking of that query alone.
-fn check_multi_query_matrix(queries: &[(Tree, usize)], doc: &Tree) -> Result<(), String> {
-    let oracles: Vec<Vec<(u32, u64, u32)>> = queries
-        .iter()
-        .map(|(q, k)| {
-            key(&tasm_naive(
-                q,
-                doc,
-                *k,
-                &UnitCost,
-                TasmOptions::default(),
-                None,
-            ))
-        })
-        .collect();
+/// Runs one plan over `src` and returns its rankings.
+fn run_plan(
+    src: Src,
+    doc: &Tree,
+    index: &(IndexedDocument, LabelDict),
+    queries: &[BatchQuery<'_>],
+    cost: (&(dyn CostModel + Sync), u64),
+    opts: TasmOptions,
+    threads: usize,
+) -> Vec<Vec<Match>> {
+    let mut ws = BatchWorkspace::new();
+    let (mut tree_q, mut stream_q) = (TreeQueue::new(doc), VecQueue::from_tree(doc));
+    let source = match src {
+        Src::Tree => Source::Stream(&mut tree_q as &mut dyn tasm_tree::PostorderQueue),
+        Src::Stream => Source::Stream(&mut stream_q as &mut dyn tasm_tree::PostorderQueue),
+        Src::Index => Source::index(&index.0, &index.1),
+    };
+    let plan = Plan {
+        cost,
+        opts,
+        threads,
+        ..Plan::new(source, queries)
+    };
+    execute(plan, &mut ws)
+        .expect("complete stream, no deadline")
+        .rankings
+}
+
+/// Runs the whole plan matrix for a batch of `(query, k)` pairs over
+/// `doc`: every lane of every run must equal the oracle ranking of that
+/// query alone. With the cascade off, the runs also keep their match
+/// subtrees, and every stream plan must return the whole `Match` of
+/// `tasm_postorder` — kept subtree included, so segments rebuilt by
+/// sharded workers are checked node for node.
+fn check_matrix(queries: &[(Tree, usize)], doc: &Tree) -> Result<(), String> {
     let bqs: Vec<BatchQuery<'_>> = queries
         .iter()
         .map(|(query, k)| BatchQuery { query, k: *k })
         .collect();
-    let check = |name: String, got: Vec<Vec<Match>>| -> Result<(), String> {
-        if got.len() != oracles.len() {
-            return Err(format!("{name}: {} lanes != {}", got.len(), oracles.len()));
-        }
-        for (i, (g, want)) in got.iter().zip(&oracles).enumerate() {
-            let g = key(g);
-            if &g != want {
-                return Err(format!("{name} lane {i}: {g:?} != oracle {want:?}"));
-            }
-        }
-        Ok(())
-    };
     let q_labels: Vec<LabelId> = queries
         .iter()
         .flat_map(|(q, _)| q.labels().iter().copied())
         .collect();
-    let (idx, dict) = index_of(doc, &q_labels);
-    for (kernel, cascade) in KERNELS.into_iter().flat_map(|kr| [(kr, true), (kr, false)]) {
-        let opts = TasmOptions {
-            use_cascade: cascade,
-            kernel,
-            ..Default::default()
+    let index = index_of(doc, &q_labels);
+    // The index re-encodes labels by frequency, so a label-keyed model
+    // is rebuilt in index space: same names, the index's ids.
+    let doc_weighted = weighted(|i| Some(LabelId(i as u32)));
+    let idx_weighted = weighted(|i| index.0.dict().get(&format!("L{i}")));
+    for weighted_cost in [false, true] {
+        let (model, idx_model, c_t): (&(dyn CostModel + Sync), &(dyn CostModel + Sync), u64) =
+            if weighted_cost {
+                (&doc_weighted, &idx_weighted, *WEIGHTS.iter().max().unwrap())
+            } else {
+                (&UnitCost, &UnitCost, 1)
+            };
+        let oracles: Vec<Vec<(u32, u64, u32)>> = queries
+            .iter()
+            .map(|(q, k)| key(&tasm_naive(q, doc, *k, model, TasmOptions::default(), None)))
+            .collect();
+        let check = |name: &str, lane: usize, got: &[Match]| -> Result<(), String> {
+            let got = key(got);
+            if got != oracles[lane] {
+                let cost = if weighted_cost { "weighted" } else { "unit" };
+                return Err(format!(
+                    "{name}/{cost} lane {lane}: {got:?} != oracle {:?}",
+                    oracles[lane]
+                ));
+            }
+            Ok(())
         };
-        let tag = format!(
-            "{kernel}/{}",
-            if cascade { "cascade-on" } else { "cascade-off" }
-        );
-        check(
-            format!("batch/materialized/{tag}"),
-            tasm_batch(&bqs, &mut TreeQueue::new(doc), &UnitCost, 1, opts, None),
-        )?;
-        check(
-            format!("batch/streaming/{tag}"),
-            tasm_batch(&bqs, &mut stream(doc), &UnitCost, 1, opts, None),
-        )?;
-        for threads in THREADS {
-            check(
-                format!("batch×parallel/materialized/t{threads}/{tag}"),
-                tasm_batch_parallel(&bqs, doc, &UnitCost, 1, opts, threads, None),
-            )?;
-            check(
-                format!("batch×parallel/streaming/t{threads}/{tag}"),
-                tasm_batch_parallel_stream(
-                    &bqs,
-                    &mut stream(doc),
-                    &UnitCost,
-                    1,
-                    opts,
-                    threads,
-                    None,
-                )
-                .expect("complete stream"),
-            )?;
-            check(
-                format!("indexed×batch/t{threads}/{tag}"),
-                tasm_indexed_batch(&bqs, &dict, &idx, &UnitCost, 1, opts, threads, None),
-            )?;
+        for kernel in KERNELS {
+            for use_cascade in [true, false] {
+                let opts = TasmOptions {
+                    use_cascade,
+                    kernel,
+                    keep_trees: !use_cascade,
+                    ..Default::default()
+                };
+                let tag = format!(
+                    "{kernel}/cascade-{}",
+                    if use_cascade { "on" } else { "off" }
+                );
+                // The paper's reproductions, per query.
+                let mut postorders = Vec::with_capacity(queries.len());
+                for (lane, (q, k)) in queries.iter().enumerate() {
+                    let dynamic = tasm_dynamic(q, doc, *k, model, opts, None);
+                    check(&format!("dynamic/{tag}"), lane, &dynamic)?;
+                    let mut stream = VecQueue::from_tree(doc);
+                    let postorder = tasm_postorder(q, &mut stream, *k, model, c_t, opts, None);
+                    check(&format!("postorder/{tag}"), lane, &postorder)?;
+                    postorders.push(postorder);
+                }
+                // Every plan.
+                for src in SOURCES {
+                    let m = if matches!(src, Src::Index) {
+                        idx_model
+                    } else {
+                        model
+                    };
+                    for threads in THREADS {
+                        let got = run_plan(src, doc, &index, &bqs, (m, c_t), opts, threads);
+                        if got.len() != queries.len() {
+                            return Err(format!("{src:?}: {} lanes", got.len()));
+                        }
+                        for (lane, ranking) in got.iter().enumerate() {
+                            let name = format!("{src:?}/t{threads}/{tag}");
+                            check(&name, lane, ranking)?;
+                            // Index plans keep index-space labels.
+                            if opts.keep_trees
+                                && !matches!(src, Src::Index)
+                                && ranking != &postorders[lane]
+                            {
+                                return Err(format!("{name} lane {lane}: kept matches differ"));
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
     Ok(())
 }
 
 proptest! {
-    // The kernel axis tripled the matrix volume per case; fewer random
-    // cases keep tier-1 runtime flat (the seeded CI sweep still shifts
-    // coverage every run).
+    // Each case runs the full matrix (~300 plans) under both cost
+    // models; the seeded CI sweep shifts coverage every run.
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     #[test]
@@ -278,7 +271,7 @@ proptest! {
     ) {
         let doc = random_tree(doc_seed, doc_n, 4);
         let q = random_tree(q_seed, q_n, 4);
-        if let Err(e) = check_single_query_matrix(&q, &doc, k) {
+        if let Err(e) = check_matrix(&[(q, k)], &doc) {
             panic!("{e}");
         }
     }
@@ -294,7 +287,7 @@ proptest! {
             .iter()
             .map(|&(seed, n, k)| (random_tree(seed, n, 4), k))
             .collect();
-        if let Err(e) = check_multi_query_matrix(&queries, &doc) {
+        if let Err(e) = check_matrix(&queries, &doc) {
             panic!("{e}");
         }
     }
@@ -312,9 +305,11 @@ fn differential_matrix_seeded() {
     for round in 0..12u64 {
         let s = base.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(round);
         let doc = random_tree(s, 20 + (s % 120) as usize, 4);
-        let q = random_tree(s ^ 0xABCD, 1 + (s % 9) as usize, 4);
-        let k = 1 + (s % 7) as usize;
-        if let Err(e) = check_single_query_matrix(&q, &doc, k) {
+        let single = [(
+            random_tree(s ^ 0xABCD, 1 + (s % 9) as usize, 4),
+            1 + (s % 7) as usize,
+        )];
+        if let Err(e) = check_matrix(&single, &doc) {
             panic!("seed {base} round {round}: {e}");
         }
         let queries = vec![
@@ -324,19 +319,17 @@ fn differential_matrix_seeded() {
             ),
             (random_tree(s ^ 2, 1 + (s % 6) as usize, 4), 2),
         ];
-        if let Err(e) = check_multi_query_matrix(&queries, &doc) {
+        if let Err(e) = check_matrix(&queries, &doc) {
             panic!("seed {base} round {round}: {e}");
         }
     }
 }
 
-/// End-to-end acceptance: the sharded scans fed from a **real XML
-/// stream** — parsed on the fly, never materialized — return rankings
-/// identical to sequential `tasm_dynamic` on the parsed tree, down to
-/// subtree ids.
+/// End-to-end acceptance: plans fed from a **real XML stream** — parsed
+/// on the fly, never materialized — return, per lane, rankings
+/// identical to `tasm_naive` on the parsed tree, down to subtree ids.
 #[test]
-fn xml_stream_matches_materialized_dynamic_down_to_ids() {
-    use tasm_tree::LabelDict;
+fn xml_stream_matches_naive_down_to_ids() {
     use tasm_xml::{parse_tree_str, XmlPostorderQueue};
 
     // A DBLP-shaped document with enough repetition for ties.
@@ -365,137 +358,37 @@ fn xml_stream_matches_materialized_dynamic_down_to_ids() {
     let doc = parse_tree_str(&xml, &mut dict).unwrap();
 
     for k in [1usize, 4, 9] {
-        let want = key(&tasm_dynamic(
-            &query,
-            &doc,
-            k,
-            &UnitCost,
-            TasmOptions::default(),
-            None,
-        ));
-        for threads in THREADS {
-            // Fresh queue per run: the parser streams, nothing is kept.
-            let mut queue = XmlPostorderQueue::new(xml.as_bytes(), &mut dict);
-            let got = tasm_parallel_stream(
-                &query,
-                &mut queue,
-                k,
-                &UnitCost,
-                1,
-                TasmOptions::default(),
-                threads,
-            )
-            .expect("complete stream");
-            assert!(queue.is_ok());
-            assert_eq!(key(&got), want, "k = {k}, threads = {threads}");
-        }
-    }
-
-    // Batch×parallel over the XML stream, per lane.
-    let bqs = [
-        BatchQuery {
-            query: &query,
-            k: 5,
-        },
-        BatchQuery {
-            query: &query2,
-            k: 3,
-        },
-    ];
-    let wants: Vec<_> = bqs
-        .iter()
-        .map(|bq| {
-            key(&tasm_dynamic(
-                bq.query,
-                &doc,
-                bq.k,
-                &UnitCost,
-                TasmOptions::default(),
-                None,
-            ))
-        })
-        .collect();
-    for threads in THREADS {
-        let mut queue = XmlPostorderQueue::new(xml.as_bytes(), &mut dict);
-        let got = tasm_batch_parallel_stream(
-            &bqs,
-            &mut queue,
-            &UnitCost,
-            1,
-            TasmOptions::default(),
-            threads,
-            None,
-        )
-        .expect("complete stream");
-        assert!(queue.is_ok());
-        for (lane, (g, want)) in got.iter().zip(&wants).enumerate() {
-            assert_eq!(&key(g), want, "lane {lane}, threads = {threads}");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Weighted-cost axis: the matrix is not unit-cost-specific. The
-    /// document-side cost bound `c_t` is the table maximum, as Theorem 3
-    /// requires.
-    #[test]
-    fn differential_matrix_weighted_costs(
-        doc_seed in any::<u64>(),
-        doc_n in 1usize..100,
-        q_seed in any::<u64>(),
-        q_n in 1usize..8,
-        k in 1usize..5,
-    ) {
-        use tasm_ted::PerLabelCost;
-        let model = PerLabelCost::new(1)
-            .with(LabelId(0), 2)
-            .with(LabelId(1), 3)
-            .with(LabelId(2), 1)
-            .with(LabelId(3), 5);
-        let c_t = 5; // max of the table
-        let doc = random_tree(doc_seed, doc_n, 4);
-        let q = random_tree(q_seed, q_n, 4);
-        let opts = TasmOptions::default();
-        let want = key(&tasm_dynamic(&q, &doc, k, &model, opts, None));
-        let got = key(&tasm_postorder(
-            &q, &mut stream(&doc), k, &model, c_t, opts, None,
-        ));
-        prop_assert_eq!(&got, &want);
-        // Kernel axis under weighted costs: the mirrored DP permutes
-        // per-node costs, so exactness here is load-bearing.
-        for kernel in KERNELS {
-            let kopts = TasmOptions { kernel, ..opts };
-            let kd = key(&tasm_dynamic(&q, &doc, k, &model, kopts, None));
-            prop_assert_eq!(&kd, &want, "dynamic kernel {}", kernel);
-            let kp = key(&tasm_postorder(
-                &q, &mut stream(&doc), k, &model, c_t, kopts, None,
-            ));
-            prop_assert_eq!(&kp, &want, "postorder kernel {}", kernel);
-        }
-        for threads in [2usize, 7] {
-            let par = key(&tasm_parallel(&q, &doc, k, &model, c_t, opts, threads));
-            prop_assert_eq!(&par, &want);
-            let par_stream = key(&tasm_parallel_stream(
-                &q, &mut stream(&doc), k, &model, c_t, opts, threads,
-            )
-            .expect("complete stream"));
-            prop_assert_eq!(&par_stream, &want);
-        }
-        // The indexed path re-encodes labels by corpus frequency, so a
-        // label-keyed model must be rebuilt in index space: same names,
-        // the index's ids. Distances must still agree exactly.
-        let (idx, dict) = index_of(&doc, q.labels());
-        let mut imodel = PerLabelCost::new(1);
-        for (i, w) in [2u64, 3, 1, 5].into_iter().enumerate() {
-            if let Some(id) = idx.dict().get(&format!("L{i}")) {
-                imodel = imodel.with(id, w);
+        let batches: [&[BatchQuery<'_>]; 2] = [
+            &[BatchQuery { query: &query, k }],
+            &[
+                BatchQuery { query: &query, k },
+                BatchQuery {
+                    query: &query2,
+                    k: 3,
+                },
+            ],
+        ];
+        for bqs in batches {
+            let wants: Vec<_> = bqs
+                .iter()
+                .map(|bq| {
+                    let opts = TasmOptions::default();
+                    key(&tasm_naive(bq.query, &doc, bq.k, &UnitCost, opts, None))
+                })
+                .collect();
+            for threads in THREADS {
+                // Fresh queue per run: the parser streams, nothing is kept.
+                let mut queue = XmlPostorderQueue::new(xml.as_bytes(), &mut dict);
+                let plan = Plan {
+                    threads,
+                    ..Plan::new(Source::Stream(&mut queue), bqs)
+                };
+                let out = execute(plan, &mut BatchWorkspace::new()).expect("complete stream");
+                assert!(queue.is_ok());
+                for (lane, (g, want)) in out.rankings.iter().zip(&wants).enumerate() {
+                    assert_eq!(&key(g), want, "k = {k}, lane {lane}, threads = {threads}");
+                }
             }
-        }
-        for threads in [1usize, 3] {
-            let idxed = key(&tasm_indexed(&q, &dict, &idx, k, &imodel, c_t, opts, threads));
-            prop_assert_eq!(&idxed, &want, "indexed, threads = {}", threads);
         }
     }
 }
@@ -505,7 +398,7 @@ proptest! {
 #[test]
 fn differential_matrix_corner_shapes() {
     use tasm_tree::bracket;
-    let mut dict = tasm_tree::LabelDict::new();
+    let mut dict = LabelDict::new();
     let corners = [
         "{a}",
         "{a{a{a{a{a{a{a{a}}}}}}}}",
@@ -517,7 +410,7 @@ fn differential_matrix_corner_shapes() {
         for q_s in ["{a}", "{x{a{b}}}", "{r{a}}"] {
             let q = bracket::parse(q_s, &mut dict).unwrap();
             for k in [1usize, 3, 30] {
-                check_single_query_matrix(&q, &doc, k)
+                check_matrix(&[(q.clone(), k)], &doc)
                     .unwrap_or_else(|e| panic!("doc {doc_s}, q {q_s}, k {k}: {e}"));
             }
         }

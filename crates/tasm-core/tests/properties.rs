@@ -124,6 +124,7 @@ proptest! {
     ) {
         use tasm_tree::NodeId;
         let mk = |d: u64, r: u32| Match {
+            shard: 0,
             root: NodeId::new(r),
             size: 1,
             distance: tasm_ted::Cost::from_natural(d),

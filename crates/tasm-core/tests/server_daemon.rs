@@ -17,7 +17,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tasm_core::{tasm_corpus, tasm_postorder, Doc, DocStore, Server, ServerConfig, TasmOptions};
+use tasm_core::{
+    execute, tasm_postorder, BatchQuery, BatchWorkspace, Doc, DocStore, Plan, Server, ServerConfig,
+    Source, TasmOptions,
+};
 use tasm_index::Corpus;
 use tasm_ted::UnitCost;
 use tasm_tree::{bracket, LabelDict, TreeQueue};
@@ -266,27 +269,23 @@ fn corpus_doc_rows_carry_the_document_and_match_the_engine() {
     let corpus = Corpus::open(&dir).unwrap();
     let mut qdict = corpus.global_dict().clone();
     let query = bracket::parse(query_text, &mut qdict).unwrap();
-    let (expect, status) = tasm_corpus(
-        &query,
-        &qdict,
-        &corpus,
-        3,
-        &UnitCost,
-        1,
-        TasmOptions::default(),
-        1,
-    );
-    assert!(!status.is_degraded());
-    for (i, m) in expect.iter().enumerate() {
+    let queries = [BatchQuery {
+        query: &query,
+        k: 3,
+    }];
+    let plan = Plan::new(Source::corpus(&corpus, &qdict), &queries);
+    let out = execute(plan, &mut BatchWorkspace::new()).unwrap();
+    assert!(!out.status.unwrap().is_degraded());
+    for (i, m) in out.rankings[0].iter().enumerate() {
         assert_eq!(
             resp[1 + i],
             format!(
                 "{} {} {} {} {}",
                 i + 1,
-                m.hit.root.post(),
-                m.hit.distance,
-                m.hit.size,
-                m.doc
+                m.root.post(),
+                m.distance,
+                m.size,
+                corpus.shard_name(m.shard as usize).unwrap()
             )
         );
     }

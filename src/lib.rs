@@ -12,7 +12,7 @@
 //! |---|---|
 //! | [`tree`] | ordered labeled trees, label dictionary, postorder queues |
 //! | [`ted`] | Zhang–Shasha tree edit distance, cost models |
-//! | [`core`] | τ threshold, prefix ring buffer, TASM-dynamic/postorder |
+//! | [`core`] | τ threshold, prefix ring buffer, TASM-dynamic/postorder, the plan executor |
 //! | [`index`] | persistent `.pqi` label index for scan-free candidates |
 //! | [`xml`] | streaming XML parser → postorder queue |
 //! | [`data`] | XMark/DBLP/PSD-like workload generators |
@@ -43,8 +43,16 @@
 //!
 //! For streaming gigabyte-scale documents use
 //! [`TasmQuery::run_xml_file`], which keeps only `O(τ)` nodes in memory
-//! (Theorem 2 of the paper), or drive [`core::tasm_postorder`] with any
-//! [`tree::PostorderQueue`] implementation.
+//! (Theorem 2 of the paper). Below the builders sits one executor,
+//! [`core::execute`]. A [`core::Plan`] holds the source (any
+//! [`tree::PostorderQueue`], a `.pqi` [`IndexedDocument`] or an
+//! [`index::Corpus`]), the query batch, the cost model paired with its
+//! `c_t`, [`TasmOptions`], a thread count, a [`core::Deadline`] and
+//! optional distance counters; build one directly for custom cost models,
+//! deadlines or corpus queries.
+//! The paper's algorithms stay available as reproductions:
+//! [`core::tasm_postorder`] (Algorithm 3), [`core::tasm_dynamic`] and
+//! the [`core::tasm_naive`] oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +64,7 @@ pub use tasm_ted as ted;
 pub use tasm_tree as tree;
 pub use tasm_xml as xml;
 
-pub use tasm_core::{Match, ScanStats, StreamIntegrityError, TasmOptions};
+pub use tasm_core::{ExecError, Match, ScanStats, StreamIntegrityError, TasmOptions};
 pub use tasm_index::IndexedDocument;
 pub use tasm_ted::{Cost, CostModel, FanoutWeighted, PerLabelCost, UnitCost};
 pub use tasm_tree::{LabelDict, NodeId, Tree};
@@ -65,15 +73,15 @@ use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
 
+use tasm_core::{execute, BatchQuery, Output, Plan, Source};
+
 /// Everything needed for typical use, in one import.
 pub mod prelude {
     pub use crate::core::{
-        prb_pruning, tasm_batch, tasm_batch_parallel, tasm_batch_parallel_stream,
-        tasm_batch_with_workspace, tasm_dynamic, tasm_dynamic_with_workspace, tasm_indexed,
-        tasm_indexed_batch, tasm_naive, tasm_parallel, tasm_parallel_stream, tasm_postorder,
-        tasm_postorder_with_workspace, threshold, BatchQuery, BatchWorkspace, CandidateSink, Match,
-        PrefixRingBuffer, ScanEngine, ScanStats, StreamIntegrityError, TasmOptions, TasmWorkspace,
-        TopKHeap,
+        execute, prb_pruning, tasm_dynamic, tasm_dynamic_with_workspace, tasm_naive,
+        tasm_postorder, tasm_postorder_with_workspace, threshold, BatchQuery, BatchWorkspace,
+        CandidateSink, ExecError, Match, Output, Plan, PrefixRingBuffer, ScanEngine, ScanStats,
+        Source, StreamIntegrityError, TasmOptions, TasmWorkspace, TopKHeap,
     };
     pub use crate::index::IndexedDocument;
     pub use crate::ted::{
@@ -98,7 +106,7 @@ pub enum TasmError {
     /// The document stream ended abnormally (truncated or unreadable
     /// mid-document), so the ranking would be computed over a partial
     /// document.
-    Stream(StreamIntegrityError),
+    Stream(ExecError),
     /// A `.pq` / `.pqi` postorder file failed to load.
     File(tree::postfile::PostFileError),
 }
@@ -128,8 +136,8 @@ impl From<std::io::Error> for TasmError {
     }
 }
 
-impl From<StreamIntegrityError> for TasmError {
-    fn from(e: StreamIntegrityError) -> Self {
+impl From<ExecError> for TasmError {
+    fn from(e: ExecError) -> Self {
         TasmError::Stream(e)
     }
 }
@@ -142,12 +150,8 @@ impl From<tree::postfile::PostFileError> for TasmError {
 
 /// Re-interns kept match subtrees from the index's dictionary into the
 /// caller's, so the rendering helpers keep working after an indexed run.
-fn adopt_match_trees(
-    mut matches: Vec<Match>,
-    idx_dict: &LabelDict,
-    dict: &mut LabelDict,
-) -> Vec<Match> {
-    for m in &mut matches {
+fn adopt_match_trees(matches: &mut [Match], idx_dict: &LabelDict, dict: &mut LabelDict) {
+    for m in matches {
         if let Some(t) = m.tree.take() {
             let labels = t
                 .nodes()
@@ -157,46 +161,24 @@ fn adopt_match_trees(
             m.tree = Some(Tree::from_postorder_unchecked(labels, sizes));
         }
     }
-    matches
 }
 
 /// A configured TASM query: the high-level entry point.
 ///
 /// Wraps query parsing, the label dictionary, the Theorem 3 threshold and
-/// the single-pass evaluation. Uses the unit cost model; for custom cost
-/// models call [`core::tasm_postorder`] directly.
+/// the single-pass evaluation — a [`TasmBatch`] of one query. Uses the
+/// unit cost model; for custom cost models build a [`core::Plan`] and
+/// call [`core::execute`] directly.
 #[derive(Debug)]
 pub struct TasmQuery {
-    dict: LabelDict,
-    query: Tree,
-    k: usize,
-    options: TasmOptions,
-    /// Worker threads for sharded evaluation (1 = sequential streaming).
-    threads: usize,
-    /// Evaluation workspace reused across runs: repeated streaming
-    /// evaluations are allocation-free in steady state.
-    workspace: core::TasmWorkspace,
-    /// Merged per-shard stats of the most recent parallel run (`None`
-    /// when the last run went through the workspace).
-    parallel_scan: Option<ScanStats>,
+    batch: TasmBatch,
 }
 
 impl TasmQuery {
     /// Parses the query from an XML fragment.
     pub fn from_xml(query_xml: &str) -> Result<Self, TasmError> {
-        let mut dict = LabelDict::new();
-        let query = xml::parse_tree_str(query_xml, &mut dict)?;
         Ok(TasmQuery {
-            dict,
-            query,
-            k: 1,
-            options: TasmOptions {
-                keep_trees: true,
-                ..Default::default()
-            },
-            threads: 1,
-            workspace: core::TasmWorkspace::new(),
-            parallel_scan: None,
+            batch: TasmBatch::from_xml(&[query_xml])?,
         })
     }
 
@@ -205,55 +187,46 @@ impl TasmQuery {
         let mut dict = LabelDict::new();
         let query = tree::bracket::parse(query, &mut dict)?;
         Ok(TasmQuery {
-            dict,
-            query,
-            k: 1,
-            options: TasmOptions {
-                keep_trees: true,
-                ..Default::default()
-            },
-            threads: 1,
-            workspace: core::TasmWorkspace::new(),
-            parallel_scan: None,
+            batch: TasmBatch::new(dict, vec![query]),
         })
     }
 
     /// Sets the ranking size `k` (default 1).
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k.max(1);
-        self
+    pub fn k(self, k: usize) -> Self {
+        TasmQuery {
+            batch: self.batch.k(k),
+        }
     }
 
-    /// Sets the number of worker threads for sharded evaluation
-    /// (default 1 = sequential; 0 = one per available core).
+    /// Sets the number of worker threads (default 1 = sequential; 0 =
+    /// one per available core).
     ///
-    /// The streaming entry points (`run_xml_str` / `run_xml_file` /
-    /// `run_reader`) keep streaming: candidate segments are handed off
-    /// to the workers ([`core::tasm_parallel_stream`]) with
-    /// `O(threads · τ)` memory and **no** materialized document.
-    /// [`TasmQuery::run_tree`] shards the candidate spans of the
-    /// already-materialized tree instead ([`core::tasm_parallel`]).
-    /// Results are identical to the sequential pass either way.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+    /// The document keeps streaming: the scan hands candidate segments
+    /// to the workers with `O(threads · τ)` memory and **no**
+    /// materialized document. Results are identical to the sequential
+    /// pass.
+    pub fn threads(self, threads: usize) -> Self {
+        TasmQuery {
+            batch: self.batch.threads(threads),
+        }
     }
 
     /// Sets whether matched subtrees are copied into the results
     /// (default `true`).
-    pub fn keep_trees(mut self, keep: bool) -> Self {
-        self.options.keep_trees = keep;
-        self
+    pub fn keep_trees(self, keep: bool) -> Self {
+        TasmQuery {
+            batch: self.batch.keep_trees(keep),
+        }
     }
 
     /// The parsed query tree.
     pub fn query(&self) -> &Tree {
-        &self.query
+        &self.batch.queries[0]
     }
 
     /// The label dictionary (grows while documents are processed).
     pub fn dict(&self) -> &LabelDict {
-        &self.dict
+        self.batch.dict()
     }
 
     /// Runs the query against an XML string (streamed; the document tree is
@@ -271,89 +244,20 @@ impl TasmQuery {
     /// Runs the query against any buffered XML source. The internal
     /// workspace is reused, so back-to-back runs skip all warm-up
     /// allocations.
-    ///
-    /// With [`TasmQuery::threads`] above 1 the document **still
-    /// streams**: the scan hands candidate segments to the worker
-    /// threads ([`core::tasm_parallel_stream`]) and no document tree is
-    /// ever materialized.
     pub fn run_reader<R: std::io::BufRead>(&mut self, reader: R) -> Result<Vec<Match>, TasmError> {
-        self.parallel_scan = None;
-        if self.threads != 1 {
-            let mut queue = xml::XmlPostorderQueue::new(reader, &mut self.dict);
-            let result = core::tasm_parallel_stream_with_stats(
-                &self.query,
-                &mut queue,
-                self.k,
-                &UnitCost,
-                1,
-                self.options,
-                self.threads,
-                None,
-            );
-            // Prefer the parser's own error: it carries the byte offset
-            // and reason, while the stream error only records that the
-            // document ended early.
-            if let Some(err) = queue.take_error() {
-                return Err(err.into());
-            }
-            let (matches, scan) = result?;
-            self.parallel_scan = Some(scan);
-            return Ok(matches);
-        }
-        let mut queue = xml::XmlPostorderQueue::new(reader, &mut self.dict);
-        let matches = core::tasm_postorder_with_workspace(
-            &self.query,
-            &mut queue,
-            self.k,
-            &UnitCost,
-            1,
-            self.options,
-            &mut self.workspace,
-            None,
-        );
-        if let Some(err) = queue.take_error() {
-            return Err(err.into());
-        }
-        Ok(matches)
+        self.batch.run_reader(reader).map(lane0)
     }
 
     /// Runs the query against an in-memory tree that shares this query's
-    /// dictionary (e.g. built with [`TasmQuery::parse_document`]),
-    /// sharding the scan across [`TasmQuery::threads`] workers when more
-    /// than one is configured.
+    /// dictionary (e.g. built with [`TasmQuery::parse_document`]).
     pub fn run_tree(&mut self, doc: &Tree) -> Vec<Match> {
-        if self.threads != 1 {
-            let (matches, scan) = core::tasm_parallel_with_stats(
-                &self.query,
-                doc,
-                self.k,
-                &UnitCost,
-                1,
-                self.options,
-                self.threads,
-                None,
-            );
-            self.parallel_scan = Some(scan);
-            return matches;
-        }
-        self.parallel_scan = None;
-        let mut queue = tree::TreeQueue::new(doc);
-        core::tasm_postorder_with_workspace(
-            &self.query,
-            &mut queue,
-            self.k,
-            &UnitCost,
-            1,
-            self.options,
-            &mut self.workspace,
-            None,
-        )
+        lane0(self.batch.run_tree(doc))
     }
 
     /// Parses a document into this query's dictionary for use with
     /// [`TasmQuery::run_tree`] / repeated runs.
     pub fn parse_document(&mut self, xml_text: &str) -> Result<Tree, TasmError> {
-        Ok(xml::parse_tree_str(xml_text, &mut self.dict)?)
+        self.batch.parse_document(xml_text)
     }
 
     /// Runs the query against a prebuilt `.pqi` index file (see
@@ -361,8 +265,7 @@ impl TasmQuery {
     /// candidate regions come from the label postings instead of a full
     /// document scan, and the ranking is identical to the streamed run.
     pub fn run_index_file(&mut self, path: impl AsRef<Path>) -> Result<Vec<Match>, TasmError> {
-        let idx = IndexedDocument::open(path)?;
-        Ok(self.run_index(&idx))
+        self.batch.run_index_file(path).map(lane0)
     }
 
     /// Runs the query against an already-loaded [`IndexedDocument`].
@@ -372,42 +275,31 @@ impl TasmQuery {
     /// so [`TasmQuery::match_to_xml`] works exactly as after a
     /// streamed run.
     pub fn run_index(&mut self, idx: &IndexedDocument) -> Vec<Match> {
-        let (matches, scan) = core::tasm_indexed_with_stats(
-            &self.query,
-            &self.dict,
-            idx,
-            self.k,
-            &UnitCost,
-            1,
-            self.options,
-            self.threads,
-            None,
-        );
-        let matches = adopt_match_trees(matches, idx.dict(), &mut self.dict);
-        self.parallel_scan = Some(scan);
-        matches
+        lane0(self.batch.run_index(idx))
     }
 
     /// Scan and pruning-funnel statistics ([`ScanStats`]) of the most
-    /// recent run, whichever path it took — streaming (`run_xml_str` /
-    /// `run_xml_file` / `run_reader`), in-memory ([`TasmQuery::run_tree`])
-    /// or sharded parallel (merged over all shards): candidates emitted,
-    /// per-tier cascade prunes, exact evaluations.
+    /// recent run, whichever source and thread count it used:
+    /// candidates emitted, per-tier cascade prunes, exact evaluations.
     pub fn last_scan_stats(&self) -> ScanStats {
-        self.parallel_scan
-            .unwrap_or_else(|| self.workspace.last_scan_stats())
+        self.batch.last_scan_stats()
     }
 
     /// Renders a match's subtree back to XML (requires `keep_trees`).
     pub fn match_to_xml(&self, m: &Match) -> Option<String> {
-        m.tree.as_ref().map(|t| xml::tree_to_xml(t, &self.dict))
+        self.batch.match_to_xml(m)
     }
+}
+
+/// The ranking of a one-query batch.
+fn lane0(mut rankings: Vec<Vec<Match>>) -> Vec<Match> {
+    rankings.swap_remove(0)
 }
 
 /// A batch of TASM queries answered in **one** shared document scan.
 ///
 /// Ring-buffer maintenance and candidate materialization are paid once
-/// for the whole batch ([`core::tasm_batch`]); each query keeps its own
+/// for the whole batch ([`core::execute`]); each query keeps its own
 /// pruning bound and ranking, and each result is exactly what the
 /// corresponding single [`TasmQuery`] run would return.
 ///
@@ -437,26 +329,20 @@ pub struct TasmBatch {
     queries: Vec<Tree>,
     k: usize,
     options: TasmOptions,
-    /// Worker threads for the sharded streaming scan (1 = one shared
-    /// sequential scan).
+    /// Worker threads (1 = one shared sequential scan).
     threads: usize,
     /// Scan + per-lane workspaces reused across runs.
     workspace: core::BatchWorkspace,
-    /// Aggregate + per-lane stats of the most recent sharded run
-    /// (`None` when the last run used the shared sequential scan).
-    parallel_scan: Option<(ScanStats, Vec<ScanStats>)>,
+    /// Aggregate statistics of the most recent run.
+    last_scan: ScanStats,
+    /// Per-lane statistics of the most recent run.
+    last_lanes: Vec<ScanStats>,
 }
 
 impl TasmBatch {
-    /// Parses every query from an XML fragment; all queries share one
-    /// label dictionary.
-    pub fn from_xml(query_xmls: &[&str]) -> Result<Self, TasmError> {
-        let mut dict = LabelDict::new();
-        let queries = query_xmls
-            .iter()
-            .map(|q| xml::parse_tree_str(q, &mut dict))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TasmBatch {
+    /// A batch over already-parsed `queries` sharing `dict`.
+    fn new(dict: LabelDict, queries: Vec<Tree>) -> Self {
+        TasmBatch {
             dict,
             queries,
             k: 1,
@@ -466,8 +352,20 @@ impl TasmBatch {
             },
             threads: 1,
             workspace: core::BatchWorkspace::new(),
-            parallel_scan: None,
-        })
+            last_scan: ScanStats::default(),
+            last_lanes: Vec::new(),
+        }
+    }
+
+    /// Parses every query from an XML fragment; all queries share one
+    /// label dictionary.
+    pub fn from_xml(query_xmls: &[&str]) -> Result<Self, TasmError> {
+        let mut dict = LabelDict::new();
+        let queries = query_xmls
+            .iter()
+            .map(|q| xml::parse_tree_str(q, &mut dict))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(TasmBatch::new(dict, queries))
     }
 
     /// Sets the ranking size `k` for every query (default 1).
@@ -482,8 +380,8 @@ impl TasmBatch {
     /// With more than one thread the batch runs **batch×parallel**: the
     /// document still streams once, candidate segments are handed off
     /// to the workers, and every worker fans each candidate out to all
-    /// query lanes ([`core::tasm_batch_parallel_stream`]). Each ranking
-    /// is identical to the sequential shared-scan result.
+    /// query lanes. Each ranking is identical to the sequential
+    /// shared-scan result.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -511,6 +409,12 @@ impl TasmBatch {
         &self.dict
     }
 
+    /// Parses a document into this batch's dictionary for use with
+    /// [`TasmBatch::run_tree`] / repeated runs.
+    pub fn parse_document(&mut self, xml_text: &str) -> Result<Tree, TasmError> {
+        Ok(xml::parse_tree_str(xml_text, &mut self.dict)?)
+    }
+
     /// Runs every query against an XML string in one shared scan,
     /// returning one ranking per query, in input order.
     pub fn run_xml_str(&mut self, document: &str) -> Result<Vec<Vec<Match>>, TasmError> {
@@ -530,51 +434,35 @@ impl TasmBatch {
         &mut self,
         reader: R,
     ) -> Result<Vec<Vec<Match>>, TasmError> {
-        let batch: Vec<core::BatchQuery<'_>> = self
-            .queries
-            .iter()
-            .map(|query| core::BatchQuery { query, k: self.k })
-            .collect();
+        let batch = BatchQuery::all(&self.queries, self.k);
         let mut queue = xml::XmlPostorderQueue::new(reader, &mut self.dict);
-        self.parallel_scan = None;
-        let rankings = if self.threads != 1 {
-            // The workspace is threaded through so a thread count that
-            // resolves to 1 (e.g. `threads(0)` on a single core) keeps
-            // the warm-buffer reuse of the shared sequential scan.
-            let result = core::tasm_batch_parallel_stream_with_workspace(
-                &batch,
-                &mut queue,
-                &UnitCost,
-                1,
-                self.options,
-                self.threads,
-                &mut self.workspace,
-                None,
-            );
-            // Prefer the parser's own error: it carries the byte offset
-            // and reason, while the stream error only records that the
-            // document ended early.
-            if let Some(err) = queue.take_error() {
-                return Err(err.into());
-            }
-            let (rankings, scan, lanes) = result?;
-            self.parallel_scan = Some((scan, lanes));
-            rankings
-        } else {
-            core::tasm_batch_with_workspace(
-                &batch,
-                &mut queue,
-                &UnitCost,
-                1,
-                self.options,
-                &mut self.workspace,
-                None,
-            )
+        let plan = Plan {
+            opts: self.options,
+            threads: self.threads,
+            ..Plan::new(Source::Stream(&mut queue), &batch)
         };
+        let result = execute(plan, &mut self.workspace);
+        // Prefer the parser's own error: it carries the byte offset and
+        // reason, while the stream error only records that the document
+        // ended early.
         if let Some(err) = queue.take_error() {
             return Err(err.into());
         }
-        Ok(rankings)
+        Ok(self.finish(result?))
+    }
+
+    /// Runs every query against an in-memory tree that shares this
+    /// batch's dictionary (e.g. built with [`TasmBatch::parse_document`]).
+    pub fn run_tree(&mut self, doc: &Tree) -> Vec<Vec<Match>> {
+        let batch = BatchQuery::all(&self.queries, self.k);
+        let mut queue = tree::TreeQueue::new(doc);
+        let plan = Plan {
+            opts: self.options,
+            threads: self.threads,
+            ..Plan::new(Source::Stream(&mut queue), &batch)
+        };
+        let out = execute(plan, &mut self.workspace);
+        self.finish(out.expect("an in-memory tree is a complete stream"))
     }
 
     /// Answers the whole batch from a prebuilt `.pqi` index file: one
@@ -586,30 +474,31 @@ impl TasmBatch {
     }
 
     /// Answers the whole batch from an already-loaded
-    /// [`IndexedDocument`], translating labels by name in both
-    /// directions (see [`TasmQuery::run_index`]).
+    /// [`IndexedDocument`]. The index carries its own label dictionary;
+    /// query labels are translated by name and kept match subtrees are
+    /// translated back, so [`TasmBatch::match_to_xml`] works exactly as
+    /// after a streamed run.
     pub fn run_index(&mut self, idx: &IndexedDocument) -> Vec<Vec<Match>> {
-        let batch: Vec<core::BatchQuery<'_>> = self
-            .queries
-            .iter()
-            .map(|query| core::BatchQuery { query, k: self.k })
-            .collect();
-        let (rankings, scan, lanes) = core::tasm_indexed_batch_with_stats(
-            &batch,
-            &self.dict,
-            idx,
-            &UnitCost,
-            1,
-            self.options,
-            self.threads,
-            None,
-        );
-        let rankings = rankings
-            .into_iter()
-            .map(|matches| adopt_match_trees(matches, idx.dict(), &mut self.dict))
-            .collect();
-        self.parallel_scan = Some((scan, lanes));
+        let batch = BatchQuery::all(&self.queries, self.k);
+        let plan = Plan {
+            opts: self.options,
+            threads: self.threads,
+            ..Plan::new(Source::index(idx, &self.dict), &batch)
+        };
+        let out = execute(plan, &mut self.workspace);
+        let mut rankings = self.finish(out.expect("an index plan without a deadline completes"));
+        for matches in &mut rankings {
+            adopt_match_trees(matches, idx.dict(), &mut self.dict);
+        }
         rankings
+    }
+
+    /// Records the statistics of a finished run and hands back its
+    /// rankings.
+    fn finish(&mut self, out: Output) -> Vec<Vec<Match>> {
+        self.last_scan = out.scan;
+        self.last_lanes = out.lanes;
+        out.rankings
     }
 
     /// Renders a match's subtree back to XML (requires `keep_trees`).
@@ -618,23 +507,16 @@ impl TasmBatch {
     }
 
     /// Scan and pruning-funnel statistics ([`ScanStats`]) of the most
-    /// recent run — shared sequential scan or sharded streaming scan —
-    /// aggregated over all query lanes.
+    /// recent run, aggregated over all query lanes.
     pub fn last_scan_stats(&self) -> ScanStats {
-        match &self.parallel_scan {
-            Some((scan, _)) => *scan,
-            None => self.workspace.last_scan_stats(),
-        }
+        self.last_scan
     }
 
     /// Per-lane statistics of the most recent run, in query order: the
     /// scan-layer counters of the (single) pass plus each query lane's
     /// own pruning funnel.
     pub fn last_lane_stats(&self) -> Vec<ScanStats> {
-        match &self.parallel_scan {
-            Some((_, lanes)) => lanes.clone(),
-            None => self.workspace.last_lane_stats().to_vec(),
-        }
+        self.last_lanes.clone()
     }
 }
 
